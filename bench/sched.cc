@@ -1,6 +1,7 @@
 #include "bench/sched.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 namespace tcsim::bench
@@ -36,6 +37,15 @@ formatDouble(double value)
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", value);
     return buf;
+}
+
+obs::HttpResponse
+jsonReply(int status, std::string body)
+{
+    obs::HttpResponse resp;
+    resp.status = status;
+    resp.body = std::move(body);
+    return resp;
 }
 
 } // namespace
@@ -265,6 +275,134 @@ Scheduler::renderStatus(double now) const
     out += "  ]\n";
     out += "}\n";
     return out;
+}
+
+std::size_t
+resumeFromStore(Scheduler &sched, FragmentStore &store)
+{
+    std::size_t resumed = 0;
+    for (const StoreObject &object : store.list("")) {
+        const std::optional<FragmentData> fragment =
+            readFragment(store, object.name);
+        if (fragment && sched.markCompleted(fragment->hash,
+                                            fragment->integers)) {
+            ++resumed;
+        }
+    }
+    return resumed;
+}
+
+double
+schedClock()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+SchedServer::SchedServer(std::vector<WorkUnit> units,
+                         SchedOptions options, FragmentStore &store)
+    : store_(store), storeServer_(store),
+      sched_(std::move(units), options),
+      matrixHash_(bench::matrixHash(sched_.units())),
+      resumed_(resumeFromStore(sched_, store))
+{
+}
+
+obs::HttpResponse
+SchedServer::handle(const obs::HttpRequest &request)
+{
+    if (StoreServer::routes(request))
+        return storeServer_.handle(request);
+
+    const double now = schedClock();
+    const std::string worker = obs::httpQueryParam(request.query, "worker");
+    const std::string hash = obs::httpQueryParam(request.query, "hash");
+    if (request.path == "/status") {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return jsonReply(200, sched_.renderStatus(now));
+    }
+    if (request.path == "/partial") {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return jsonReply(200, sched_.renderPartial());
+    }
+    const bool lease_route = request.path == "/lease";
+    if (!lease_route && request.path != "/renew" &&
+        request.path != "/complete") {
+        return jsonReply(404, "{\"error\": \"not found\"}\n");
+    }
+    if (request.method != "POST")
+        return jsonReply(405, "{\"error\": \"method\"}\n");
+    if (worker.empty())
+        return jsonReply(400, "{\"error\": \"worker\"}\n");
+    if (lease_route)
+        return lease(worker, now);
+    if (request.path == "/renew") {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return jsonReply(200, sched_.renew(worker, hash, now)
+                                  ? "{\"ok\": true}\n"
+                                  : "{\"ok\": false}\n");
+    }
+    return complete(worker, hash, request.body, now);
+}
+
+obs::HttpResponse
+SchedServer::lease(const std::string &worker, double now)
+{
+    LeaseGrant grant;
+    AcquireStatus status;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        status = sched_.acquire(worker, now, grant);
+    }
+    std::string body = "{\n";
+    body += "  \"schema\": \"tcsim-sched-lease-v1\",\n";
+    body += "  \"matrix_hash\": \"" + matrixHash_ + "\",\n";
+    if (status == AcquireStatus::Granted) {
+        body += "  \"status\": \"lease\",\n";
+        body += "  \"unit_index\": " + std::to_string(grant.unitIndex) +
+                ",\n";
+        body += "  \"unit_id\": \"" + jsonEscape(grant.unitId) + "\",\n";
+        body += "  \"hash\": \"" + grant.hash + "\",\n";
+        body += "  \"renew_seconds\": " +
+                std::to_string(grant.renewSeconds) + "\n";
+    } else {
+        body += std::string("  \"status\": \"") +
+                (status == AcquireStatus::Done ? "done" : "wait") + "\"\n";
+    }
+    body += "}\n";
+    return jsonReply(200, body);
+}
+
+obs::HttpResponse
+SchedServer::complete(const std::string &worker, const std::string &hash,
+                      const std::string &body, double now)
+{
+    FragmentData fragment;
+    if (!parseFragmentBytes(body, fragment) || fragment.hash != hash) {
+        // An invalid or mislabeled fragment is treated as never
+        // delivered: the unit stays dispatchable.
+        return jsonReply(400, "{\"result\": \"invalid\"}\n");
+    }
+    Scheduler::CompleteStatus status;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        status = sched_.complete(worker, hash, fragment.integers, now);
+    }
+    if (status == Scheduler::CompleteStatus::Unknown)
+        return jsonReply(404, "{\"result\": \"unknown\"}\n");
+    // Persist for crash-safe resume. First-wins, so a straggler's
+    // duplicate is a no-op — unless the stored object fails the same
+    // validity predicate resume applies (e.g. a fragment a dying
+    // worker truncated mid-record into valid-but-incomplete JSON).
+    // Then the verified payload overwrites it: first-wins would pin
+    // the poison, and the next resume would re-dispatch a unit this
+    // scheduler already counted done.
+    const std::string name = hash + ".json";
+    store_.put(name, body, /*overwrite=*/!readFragment(store_, name));
+    return jsonReply(200, status == Scheduler::CompleteStatus::Accepted
+                              ? "{\"result\": \"accepted\"}\n"
+                              : "{\"result\": \"duplicate\"}\n");
 }
 
 } // namespace tcsim::bench

@@ -13,9 +13,9 @@
  *
  *  - Leases expire: a worker that stops renewing (crashed, SIGKILLed,
  *    lost network) forfeits its unit after leaseTimeoutSeconds and
- *    tick() returns the unit to the pool. Workers renew from a
- *    heartbeat-driven side thread, so a healthy slow worker never
- *    loses its lease.
+ *    tick() returns the unit to the pool. Each worker renews from its
+ *    own renewer thread, which runs beside the simulation, so a
+ *    healthy slow worker never loses its lease.
  *
  *  - Stragglers are speculatively RE-dispatched: once enough units
  *    have completed to trust the median duration, a unit in flight
@@ -24,9 +24,9 @@
  *    counted and dropped (and the content-hashed store name makes the
  *    duplicate put a no-op).
  *
- *  - Crash-safe resume: markCompleted() pre-fills units whose valid
- *    fragments already exist in the store, so a restarted scheduler
- *    only dispatches the holes.
+ *  - Crash-safe resume: resumeFromStore() pre-fills (markCompleted)
+ *    units whose valid fragments already exist in the store, so a
+ *    restarted scheduler only dispatches the holes.
  *
  * Completion IS the streaming merge: complete() folds the fragment's
  * canonical integers into the rolling result vector, so the final
@@ -35,10 +35,11 @@
  * byte-identical. renderPartial() exposes the rolling state as a
  * "tcsim-bench-partial-v1" document at any point in between.
  *
- * The class is a pure state machine over caller-supplied timestamps
+ * Scheduler is a pure state machine over caller-supplied timestamps
  * (seconds on any monotonic clock): no threads, no sockets, no clock
- * reads. tcsim_sched drives it from HTTP handlers under its own
- * serialization; tests drive it with synthetic time.
+ * reads; tests drive it with synthetic time. SchedServer wraps it in
+ * the HTTP routes tcsim_sched serves, under one mutex, on the
+ * steady clock (schedClock()).
  */
 
 #ifndef TCSIM_BENCH_SCHED_H
@@ -46,11 +47,15 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench/store.h"
+#include "bench/store_server.h"
 #include "bench/sweep.h"
+#include "obs/http.h"
 
 namespace tcsim::bench
 {
@@ -143,7 +148,7 @@ class Scheduler
     /** The rolling "tcsim-bench-partial-v1" document. */
     std::string renderPartial() const;
 
-    /** The "tcsim-sched-status-v1" document for the monitor/CI. */
+    /** The "tcsim-sched-status-v1" document (served at /status). */
     std::string renderStatus(double now) const;
 
     const std::vector<WorkUnit> &units() const { return units_; }
@@ -191,6 +196,75 @@ class Scheduler
     std::uint64_t leasesExpired_ = 0;
     std::uint64_t redispatches_ = 0;
     std::uint64_t duplicates_ = 0;
+};
+
+/**
+ * Crash-safe resume: mark completed every unit of @p sched whose valid
+ * fragment (see readFragment) is already in @p store, so a restarted
+ * scheduler dispatches only the holes. Stale fragments (hash not in
+ * the matrix) and corrupt, renamed or truncated objects are skipped;
+ * their units stay pending.
+ * @return the number of units resumed.
+ */
+std::size_t resumeFromStore(Scheduler &sched, FragmentStore &store);
+
+/** Seconds on the steady clock: SchedServer's time base. */
+double schedClock();
+
+/**
+ * The scheduler's HTTP routes, served by tcsim_sched behind
+ * obs::HttpServer (whose bearer-token check answers 401 before any
+ * route runs):
+ *
+ *   POST /lease?worker=w     acquire a unit (tcsim-sched-lease-v1:
+ *                            "lease", "wait" or "done")
+ *   POST /renew?worker=w&hash=h
+ *                            extend the lease
+ *   POST /complete?worker=w&hash=h   body = fragment document
+ *                            fold the result into the streaming
+ *                            merge and persist it to the store
+ *   GET  /status             the tcsim-sched-status-v1 document
+ *   GET  /partial            the rolling tcsim-bench-partial-v1
+ *   /obj/..., /manifest      the object-store shim over the same
+ *                            store (bench/store_server.h)
+ *
+ * Every Scheduler access holds one mutex, so handle() is safe to call
+ * from the server thread while the owner ticks and renders.
+ */
+class SchedServer
+{
+  public:
+    /** Resumes from @p store (resumeFromStore); @p store must
+     * outlive the server. */
+    SchedServer(std::vector<WorkUnit> units, SchedOptions options,
+                FragmentStore &store);
+
+    obs::HttpResponse handle(const obs::HttpRequest &request);
+
+    /** Run @p fn on the scheduler under the lock; returns its result. */
+    template <typename Fn>
+    auto withScheduler(Fn &&fn)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return fn(sched_);
+    }
+
+    std::size_t resumed() const { return resumed_; }
+    const std::string &matrixHash() const { return matrixHash_; }
+    StoreServer &storeServer() { return storeServer_; }
+
+  private:
+    obs::HttpResponse lease(const std::string &worker, double now);
+    obs::HttpResponse complete(const std::string &worker,
+                               const std::string &hash,
+                               const std::string &body, double now);
+
+    FragmentStore &store_;
+    StoreServer storeServer_;
+    std::mutex mutex_;
+    Scheduler sched_;
+    std::string matrixHash_;
+    std::size_t resumed_ = 0;
 };
 
 } // namespace tcsim::bench

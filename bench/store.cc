@@ -274,12 +274,8 @@ HttpStore::list(const std::string &prefix)
 std::string
 farmToken()
 {
-    for (const char *var : {"TCSIM_FARM_TOKEN", "TCSIM_STATUS_TOKEN"}) {
-        const char *value = std::getenv(var);
-        if (value != nullptr && value[0] != '\0')
-            return value;
-    }
-    return "";
+    const char *value = std::getenv("TCSIM_FARM_TOKEN");
+    return value != nullptr ? value : "";
 }
 
 std::unique_ptr<FragmentStore>
@@ -299,7 +295,7 @@ openStore(const std::string &spec)
         if (token.empty()) {
             std::fprintf(stderr,
                          "store: %s needs a bearer token (set "
-                         "TCSIM_FARM_TOKEN or TCSIM_STATUS_TOKEN)\n",
+                         "TCSIM_FARM_TOKEN)\n",
                          spec.c_str());
             return nullptr;
         }

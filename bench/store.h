@@ -2,7 +2,7 @@
  * @file
  * Pluggable fragment/artifact storage for the sweep farm.
  *
- * Everything the farm persists — result fragments, worker heartbeats,
+ * Everything the farm persists — result fragments and
  * cached artifacts (program images, predictor checkpoints, BBV
  * profiles, warm states) — is a named blob under content-hashed
  * names. FragmentStore abstracts where those blobs live:
@@ -25,8 +25,8 @@
  *    a successful no-op (content-hashed names mean a racing duplicate
  *    carries the same canonical payload — this is the dedup point for
  *    fragments from re-dispatched stragglers). Pass overwrite=true
- *    only for telemetry objects (heartbeats) that are rewritten by
- *    design.
+ *    only to replace an object that failed validation (the
+ *    scheduler healing a torn fragment).
  *  - Names are restricted to [A-Za-z0-9._-] with at most one '/'
  *    separator ("kind/object"), rejecting path traversal at the
  *    interface instead of trusting callers.
@@ -56,8 +56,7 @@ struct StoreObject
     std::string name;
     std::uint64_t size = 0;
     /** Seconds since the object was last written (mtime age for the
-     * local backend; server-measured for HTTP). Heartbeat staleness
-     * keys off this. */
+     * local backend; server-measured for HTTP). */
     double ageSeconds = 0.0;
 };
 
@@ -141,11 +140,7 @@ class HttpStore : public FragmentStore
     std::string token_;
 };
 
-/**
- * The farm bearer token: TCSIM_FARM_TOKEN, falling back to
- * TCSIM_STATUS_TOKEN so a farm that already exports the status token
- * needs no second secret. Empty when neither is set.
- */
+/** The farm bearer token: TCSIM_FARM_TOKEN, empty when unset. */
 std::string farmToken();
 
 /**

@@ -37,28 +37,6 @@ formatDouble(double value)
     return buf;
 }
 
-/** The raw value of `key=` in @p query ("" when absent). */
-std::string
-queryParam(const std::string &query, const std::string &key)
-{
-    std::size_t start = 0;
-    while (start <= query.size()) {
-        const std::size_t amp = query.find('&', start);
-        const std::size_t end =
-            amp == std::string::npos ? query.size() : amp;
-        const std::string pair = query.substr(start, end - start);
-        const std::size_t eq = pair.find('=');
-        if (eq != std::string::npos && pair.substr(0, eq) == key)
-            return pair.substr(eq + 1);
-        if (pair == key)
-            return "1"; // bare flag
-        if (amp == std::string::npos)
-            break;
-        start = amp + 1;
-    }
-    return "";
-}
-
 obs::HttpResponse
 jsonError(int status, const char *what)
 {
@@ -105,7 +83,8 @@ StoreServer::handle(const obs::HttpRequest &request)
         if (request.method != "GET")
             return jsonError(405, "method");
         obs::HttpResponse resp;
-        resp.body = renderManifest(queryParam(request.query, "prefix"));
+        resp.body =
+            renderManifest(obs::httpQueryParam(request.query, "prefix"));
         return resp;
     }
     if (request.path.rfind("/obj/", 0) != 0)
@@ -117,7 +96,7 @@ StoreServer::handle(const obs::HttpRequest &request)
 
     if (request.method == "PUT") {
         const bool overwrite =
-            queryParam(request.query, "overwrite") == "1";
+            obs::httpQueryParam(request.query, "overwrite") == "1";
         const bool existed = !overwrite && backing_.exists(name);
         if (!backing_.put(name, request.body, overwrite))
             return jsonError(500, "store failed");

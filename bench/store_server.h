@@ -1,7 +1,7 @@
 /**
  * @file
  * The object-store shim: serves a FragmentStore namespace over the
- * same authenticated HTTP plumbing as the status endpoint, so sweep
+ * same authenticated HTTP plumbing as the scheduler, so sweep
  * workers on different hosts can share one fragment/artifact store.
  *
  * Endpoints (all behind `Authorization: Bearer <token>`):

@@ -1107,39 +1107,6 @@ renderPartialDoc(const std::vector<WorkUnit> &units,
     return out;
 }
 
-std::string
-fragmentPath(const std::string &dir, const WorkUnit &unit)
-{
-    return dir + "/" + unit.hash + ".json";
-}
-
-bool
-writeFragment(const std::string &dir, const WorkUnit &unit,
-              const ResultIntegers &integers, const UnitTiming &timing)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        return false;
-    const std::string path = fragmentPath(dir, unit);
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        const std::string doc = renderFragment(unit, integers, timing);
-        out.write(doc.data(), static_cast<std::streamsize>(doc.size()));
-        if (!out) {
-            std::filesystem::remove(tmp, ec);
-            return false;
-        }
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return false;
-    }
-    return true;
-}
-
 bool
 parseFragmentBytes(const std::string &bytes, FragmentData &out)
 {
@@ -1168,156 +1135,26 @@ parseFragmentBytes(const std::string &bytes, FragmentData &out)
     return true;
 }
 
-namespace
+std::optional<FragmentData>
+readFragment(FragmentStore &store, const std::string &name)
 {
-
-/** @return whether a store object name is "<something>.json". */
-bool
-isJsonName(const std::string &name)
-{
-    return name.size() > 5 &&
-           name.compare(name.size() - 5, 5, ".json") == 0;
-}
-
-} // namespace
-
-std::optional<std::string>
-mergeFragments(const SweepOptions &options, FragmentStore &store,
-               MergeReport &report)
-{
-    const std::vector<WorkUnit> units = enumerateUnits(options);
-    std::map<std::string, std::size_t> by_hash;
-    for (std::size_t i = 0; i < units.size(); ++i)
-        by_hash.emplace(units[i].hash, i);
-
-    std::vector<ResultIntegers> integers(units.size());
-    std::vector<bool> filled(units.size(), false);
-    // list() is sorted by name — the same deterministic order as the
-    // historical sorted directory scan, so reports are stable run to
-    // run. Heartbeat objects are telemetry, not results: skipping
-    // them is what keeps merges byte-identical with a monitor
-    // attached.
-    for (const StoreObject &object : store.list("")) {
-        const std::string &name = object.name;
-        if (!isJsonName(name) || obs::isHeartbeatFilename(name))
-            continue;
-        const std::string shown = store.describe() + "/" + name;
-        const std::optional<std::string> bytes = store.get(name);
-        const std::optional<json::Value> doc =
-            bytes ? json::parse(*bytes) : std::nullopt;
-        if (!doc || !doc->isObject() ||
-            doc->getString("schema") != "tcsim-bench-fragment-v1") {
-            report.corrupt.push_back(shown);
-            continue;
-        }
-        const json::Value *unit_obj = doc->find("unit");
-        const json::Value *result_obj = doc->find("result");
-        if (unit_obj == nullptr || !unit_obj->isObject() ||
-            result_obj == nullptr || !result_obj->isObject()) {
-            report.corrupt.push_back(shown);
-            continue;
-        }
-        const std::string hash = unit_obj->getString("hash");
-        // The name stem is the claimed unit hash; a mismatch means
-        // the object was renamed or half-written and cannot be
-        // trusted.
-        if (name.substr(0, name.size() - 5) != hash) {
-            report.corrupt.push_back(shown);
-            continue;
-        }
-        const auto wanted = by_hash.find(hash);
-        if (wanted == by_hash.end()) {
-            report.stale.push_back(shown);
-            continue;
-        }
-        if (filled[wanted->second]) {
-            report.duplicates.push_back(shown);
-            continue;
-        }
-        ResultIntegers n;
-        if (!parseResultRecord(*result_obj, n)) {
-            report.corrupt.push_back(shown);
-            continue;
-        }
-        integers[wanted->second] = n;
-        filled[wanted->second] = true;
-    }
-
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        if (!filled[i])
-            report.missing.push_back(units[i].id);
-    }
-    if (!report.complete())
+    // Checked before fetching: the store may also hold multi-MB
+    // artifacts, which are never fragments.
+    constexpr std::string_view kSuffix = ".json";
+    if (name.size() <= kSuffix.size() ||
+        name.compare(name.size() - kSuffix.size(), kSuffix.size(),
+                     kSuffix) != 0) {
         return std::nullopt;
-    return renderResultsDoc(units, integers);
-}
-
-std::optional<std::string>
-mergeFragments(const SweepOptions &options,
-               const std::string &fragments_dir, MergeReport &report)
-{
-    LocalDirStore store(fragments_dir);
-    return mergeFragments(options, store, report);
-}
-
-FarmScan
-scanFarm(const SweepOptions &options, FragmentStore &store)
-{
-    FarmScan scan;
-    const std::vector<WorkUnit> units = enumerateUnits(options);
-    scan.unitsTotal = units.size();
-    std::map<std::string, const WorkUnit *> by_hash;
-    for (const WorkUnit &unit : units)
-        by_hash.emplace(unit.hash, &unit);
-
-    for (const StoreObject &object : store.list("")) {
-        const std::string &name = object.name;
-        if (!isJsonName(name))
-            continue;
-        const std::optional<std::string> bytes = store.get(name);
-        if (!bytes)
-            continue;
-        if (obs::isHeartbeatFilename(name)) {
-            // A torn or half-renamed heartbeat is simply skipped; the
-            // next beat replaces it within one interval.
-            const std::optional<obs::Heartbeat> hb =
-                obs::parseHeartbeat(*bytes);
-            if (!hb)
-                continue;
-            obs::WorkerObservation observed;
-            observed.hb = *hb;
-            observed.ageSeconds = object.ageSeconds;
-            scan.workers.push_back(std::move(observed));
-            continue;
-        }
-        // Fragment: apply the SAME strict validity predicate the
-        // merge layer uses (schema, unit object, full result record,
-        // name stem == claimed hash). A truncated-mid-record fragment
-        // can still be valid JSON; counting it completed here while
-        // --check/--merge reject it would wedge a resumed scheduler
-        // on a unit no worker is ever re-dispatched for.
-        FragmentData data;
-        if (!parseFragmentBytes(*bytes, data))
-            continue;
-        const auto wanted = by_hash.find(data.hash);
-        if (wanted == by_hash.end() ||
-            name.substr(0, name.size() - 5) != data.hash) {
-            continue;
-        }
-        CompletedUnit completed;
-        completed.id = wanted->second->id;
-        completed.hash = data.hash;
-        completed.wallSeconds = data.timing.wallSeconds;
-        scan.completed.push_back(std::move(completed));
     }
-    return scan;
-}
-
-FarmScan
-scanFarm(const SweepOptions &options, const std::string &fragments_dir)
-{
-    LocalDirStore store(fragments_dir);
-    return scanFarm(options, store);
+    const std::optional<std::string> bytes = store.get(name);
+    FragmentData fragment;
+    if (!bytes || !parseFragmentBytes(*bytes, fragment))
+        return std::nullopt;
+    // The name stem is the claimed unit hash; a mismatch means the
+    // object was renamed and cannot be trusted.
+    if (name.compare(0, name.size() - kSuffix.size(), fragment.hash) != 0)
+        return std::nullopt;
+    return fragment;
 }
 
 } // namespace tcsim::bench

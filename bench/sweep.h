@@ -1,9 +1,11 @@
 /**
  * @file
- * The sharded sweep engine: a deterministic work-unit protocol over
- * the (benchmark, configuration) matrix, process-parallel execution
- * via shards or explicit worklists, and a merge layer that combines
- * per-unit result fragments into one canonical results document.
+ * The sweep engine: a deterministic work-unit protocol over the
+ * (benchmark, configuration) matrix, unit execution, and the one
+ * renderer every results document goes through. Units run either
+ * in-process (tcsim_sweep --out) or as leases handed to pulling
+ * workers by the scheduler (bench/sched.h); both paths produce the
+ * same bytes.
  *
  * Determinism contract:
  *
@@ -18,16 +20,16 @@
  *    only deterministic integers plus doubles *derived from those
  *    integers at write time* by the single shared renderer. Both the
  *    single-process path (simulate everything, render) and the
- *    sharded path (render from integers parsed back out of
+ *    scheduler (render from integers parsed back out of delivered
  *    fragments) call the same renderer on the same integers, so the
  *    two documents are byte-identical. Wall-clock and cache-stat
  *    timing lives in fragments and the separate timing document,
  *    never in the canonical document.
  *
- *  - Fragments ("tcsim-bench-fragment-v1") are one file per unit,
- *    named "<hash>.json" and written atomically (temp file + rename),
- *    so a killed worker loses at most its in-flight unit and a rerun
- *    only needs the units check() reports missing.
+ *  - Fragments ("tcsim-bench-fragment-v1") carry one unit's result.
+ *    A worker renders one per completed unit and delivers it to the
+ *    scheduler, which persists it as "<hash>.json" in its store, so a
+ *    restarted scheduler only dispatches the units still missing.
  */
 
 #ifndef TCSIM_BENCH_SWEEP_H
@@ -39,7 +41,6 @@
 #include <vector>
 
 #include "bench/store.h"
-#include "obs/farm.h"
 #include "sim/accounting.h"
 #include "sim/config.h"
 
@@ -250,7 +251,7 @@ std::string renderFragment(const WorkUnit &unit,
 /**
  * Render the canonical results document for the full matrix. @p
  * integers must parallel @p units. This is the ONLY producer of
- * "tcsim-bench-results-v1" bytes; byte-identity of the sharded and
+ * "tcsim-bench-results-v1" bytes; byte-identity of the scheduled and
  * single-process paths rests on both funneling through it.
  */
 std::string renderResultsDoc(const std::vector<WorkUnit> &units,
@@ -267,14 +268,6 @@ std::string renderResultsDoc(const std::vector<WorkUnit> &units,
 std::string renderPartialDoc(const std::vector<WorkUnit> &units,
                              const std::vector<ResultIntegers> &integers,
                              const std::vector<bool> &filled);
-
-/** @return "<dir>/<hash>.json", the fragment path for @p unit. */
-std::string fragmentPath(const std::string &dir, const WorkUnit &unit);
-
-/** Write @p unit's fragment atomically. @return false on I/O error. */
-bool writeFragment(const std::string &dir, const WorkUnit &unit,
-                   const ResultIntegers &integers,
-                   const UnitTiming &timing);
 
 /** Everything parsed out of one fragment document. */
 struct FragmentData
@@ -294,75 +287,17 @@ struct FragmentData
  */
 bool parseFragmentBytes(const std::string &bytes, FragmentData &out);
 
-/** What the merge (or check) pass found in a fragments directory. */
-struct MergeReport
-{
-    /** Unit ids present in the matrix but with no valid fragment. */
-    std::vector<std::string> missing;
-    /** Fragment files whose unit hash is not in the matrix. */
-    std::vector<std::string> stale;
-    /** Extra valid fragments for an already-filled unit. */
-    std::vector<std::string> duplicates;
-    /** Unreadable / unparseable / internally inconsistent files. */
-    std::vector<std::string> corrupt;
-
-    bool complete() const { return missing.empty() && corrupt.empty(); }
-};
-
 /**
- * Scan @p fragments_dir and assemble the canonical results document
- * for @p options' matrix. Worker heartbeat files ("heartbeat-*",
- * telemetry only) are ignored, so a monitored sweep merges to exactly
- * the same bytes as an unmonitored one.
- * @return the document when every unit was found (report still lists
- * stale/duplicate files); empty optional otherwise, with the holes in
- * @p report.
+ * The one fragment-validity predicate for stored objects: @p name must
+ * be "<hash>.json", and its bytes must pass parseFragmentBytes with
+ * that same embedded hash. The scheduler's resume scan and its
+ * /complete heal check both go through it, so the two can never
+ * disagree about which objects count.
+ * @return the parsed fragment; empty for an absent, torn, truncated,
+ * renamed or non-fragment object.
  */
-std::optional<std::string> mergeFragments(const SweepOptions &options,
-                                          const std::string &fragments_dir,
-                                          MergeReport &report);
-
-/**
- * Same merge over any FragmentStore backend. For a LocalDirStore this
- * is byte-for-byte the directory merge above (same scan order, same
- * report strings); for an HttpStore it merges what workers uploaded
- * to the shim without needing filesystem access to the backing dir.
- */
-std::optional<std::string> mergeFragments(const SweepOptions &options,
-                                          FragmentStore &store,
-                                          MergeReport &report);
-
-/** One completed unit as observed in a fragments directory. */
-struct CompletedUnit
-{
-    std::string id;
-    std::string hash;
-    double wallSeconds = 0.0;
-};
-
-/** What one telemetry poll of a fragments directory found. */
-struct FarmScan
-{
-    /** Parsed worker heartbeats with their file-mtime ages. */
-    std::vector<obs::WorkerObservation> workers;
-    /** Valid fragments whose hash is in @p options' matrix. */
-    std::vector<CompletedUnit> completed;
-    std::uint64_t unitsTotal = 0;
-};
-
-/**
- * Scan @p fragments_dir for the monitor: parse every heartbeat file
- * (measuring staleness from its mtime) and every fragment belonging
- * to @p options' matrix (unit id, hash, wall-clock from the timing
- * section). Read-only, tolerant of torn in-flight files — this runs
- * concurrently with live workers by design.
- */
-FarmScan scanFarm(const SweepOptions &options,
-                  const std::string &fragments_dir);
-
-/** Same telemetry poll over any FragmentStore backend (heartbeat
- * staleness comes from the store's per-object age metadata). */
-FarmScan scanFarm(const SweepOptions &options, FragmentStore &store);
+std::optional<FragmentData> readFragment(FragmentStore &store,
+                                         const std::string &name);
 
 } // namespace tcsim::bench
 

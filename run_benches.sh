@@ -1,8 +1,7 @@
 #!/bin/bash
 # Runs every experiment binary, teeing combined output — or, with
-# --sweep N, runs the (benchmark, config) matrix as N sharded worker
-# processes through tools/tcsim_sweep with crash detection, bounded
-# retry, and a byte-deterministic merge.
+# --sweep N, runs the (benchmark, config) matrix on a tools/tcsim_sched
+# scheduler plus N local `tcsim_sweep --pull` worker processes.
 #
 # Exhibit mode: each exhibit fans its (benchmark, config) jobs across
 # TCSIM_JOBS worker threads (default: all cores); results are
@@ -11,64 +10,44 @@
 # BENCH_results.json (schema tcsim-bench-exhibits-v1) so the perf
 # trajectory is machine-readable.
 #
-# Sweep mode (--sweep N): shards the work-unit matrix across N
-# tcsim_sweep worker processes writing atomic per-unit fragments, then
-# retries any units lost to crashes or timeouts (round-robin
-# worklists, up to TCSIM_SWEEP_RETRIES passes, per-unit timeout
-# TCSIM_UNIT_TIMEOUT seconds), merges the fragments into
-# SWEEP_results.json (schema tcsim-bench-results-v1 — byte-identical
-# to a single-process run of the same matrix), and records sweep
-# timing + artifact-cache statistics in BENCH_results.json. Generated
-# program images and warmed predictor checkpoints are reused across
-# workers and runs via the content-addressed cache in TCSIM_CACHE_DIR
-# (default .tcsim_cache).
+# Sweep mode (--sweep N): starts tcsim_sched on an ephemeral port with
+# a generated TCSIM_FARM_TOKEN, then N pull workers sharing the
+# artifact cache. Workers lease units (an idle worker always takes the
+# next undone unit; stragglers are re-dispatched), and the scheduler
+# folds each delivered fragment into SWEEP_results.json (schema
+# tcsim-bench-results-v1 — byte-identical to a single-process run of
+# the same matrix). A worker that crashes is replaced, up to
+# TCSIM_SWEEP_RETRIES times per worker; its unit returns to the pool
+# when its lease lapses. The sweep fails when every worker has crashed
+# (a crashed farm) or when the scheduler's --max-seconds budget runs
+# out (a hung farm). Scheduler counters and wall-clock land in
+# BENCH_results.json. Generated program images and warmed predictor
+# checkpoints are reused across workers and runs via the
+# content-addressed cache in TCSIM_CACHE_DIR (default .tcsim_cache).
 #
-# Scheduler mode (--sched N): runs a deliberately skewed matrix (one
-# cell gets ~10x the instruction budget via --insts-for) twice at
-# equal worker count — once as N static --shard workers, once as N
-# `tcsim_sweep --pull` workers against a tools/tcsim_sched instance
-# (work-stealing dispatch + straggler re-dispatch) — asserts the two
-# documents are byte-identical, and records both wall-clocks plus the
-# scheduler counters in BENCH_results.json (section "sched"). The
-# point of the exercise: static sharding strands the small units that
-# share a shard with the skewed one, the work-stealing pool does not.
-#
-# Usage: run_benches.sh [--long] [--sweep N] [--sched N]
-#                       [--inject-kill] [--warm-compare]
-#                       [--sampled-errors] [--monitor]
+# Usage: run_benches.sh [--long] [--sweep N] [--inject-kill]
+#                       [--warm-compare] [--sampled-errors]
 #                       [--regress-against FILE]
 #   --long          raise the default instruction budget to 1M per run
 #                   (statistically meaningful sweeps; an explicit
 #                   TCSIM_INSTS still wins).
-#   --sweep N       sweep mode with N worker processes.
-#   --sched N       scheduler-vs-static comparison with N workers
-#                   each. Environment: TCSIM_SCHED_SKEW selects the
-#                   skewed cell ("benchmark@config", default
-#                   li@baseline — must name a cell of the matrix),
-#                   TCSIM_SCHED_SKEW_FACTOR its budget multiplier
-#                   (default 10), TCSIM_FARM_TOKEN the farm secret
-#                   (generated if unset).
-#   --inject-kill   (sweep mode) worker 0 SIGKILLs itself after one
-#                   unit, exercising the crash-retry path (CI).
-#   --warm-compare  (sweep mode) after the merge, re-run the matrix
+#   --sweep N       sweep mode with N pull workers.
+#   --inject-kill   (sweep mode) worker 0 SIGKILLs itself holding its
+#                   first lease (--die-mid-unit 1), exercising lease
+#                   expiry, re-dispatch and worker replacement (CI).
+#   --warm-compare  (sweep mode) after the sweep, re-run the matrix
 #                   single-process against the now-warm artifact cache,
 #                   assert the document is byte-identical, and record
 #                   the cold-vs-warm wall-clock in BENCH_results.json.
-#   --sampled-errors (sampled sweep mode) after the merge, run the
+#   --sampled-errors (sampled sweep mode) after the sweep, run the
 #                   sampled-vs-full error report (each unit simulated
 #                   BOTH ways — expensive), fail if any unit's IPC or
 #                   fetch-rate error exceeds TCSIM_ERROR_TOLERANCE (or
 #                   its mispredict-rate error exceeds
 #                   TCSIM_MISPREDICT_TOLERANCE), and embed the report
 #                   in BENCH_results.json.
-#   --monitor       (sweep mode) attach tools/tcsim_monitor to the
-#                   farm for the duration of the sweep: live dashboard
-#                   in .sweep.tmp/monitor.log, rolling
-#                   tcsim-farm-status-v1 snapshots in FARM_status.json.
-#                   Purely observational — the merged document is
-#                   byte-identical with or without it.
 #   --regress-against FILE
-#                   (sweep mode) after the merge, gate
+#                   (sweep mode) after the sweep, gate
 #                   SWEEP_results.json against the baseline results
 #                   document FILE with tools/tcsim_regress; the
 #                   verdict lands in REGRESSION_report.json and is
@@ -76,9 +55,11 @@
 #                   (tcsim_regress exit 5) fails the run.
 #
 # Sweep-mode environment:
-#   TCSIM_SWEEP_ARGS     extra tcsim_sweep matrix args, word-split
-#                        (e.g. "--benchmarks compress,li --configs
-#                        baseline,promotion-t64")
+#   TCSIM_SWEEP_ARGS     extra matrix args for the scheduler and its
+#                        workers, word-split (e.g. "--benchmarks
+#                        compress,li --configs baseline,promotion-t64";
+#                        "--insts-for li@baseline=2000000" skews one
+#                        cell, "--replay" replays btrace artifacts)
 #   TCSIM_WARMUP         per-unit predictor warm-up instructions
 #   TCSIM_SAMPLED_INTERVAL / TCSIM_SAMPLED_K
 #                        enable SimPoint-style sampled execution: BBV
@@ -94,16 +75,18 @@
 #                        the base rate, so the bound is absolute)
 #   TCSIM_CACHE_DIR      artifact cache directory (default
 #                        .tcsim_cache; empty string disables)
-#   TCSIM_UNIT_TIMEOUT   per-unit timeout seconds (default 600)
-#   TCSIM_SWEEP_RETRIES  retry passes after the first (default 2)
-cd /root/repo || exit 1
+#   TCSIM_UNIT_TIMEOUT   per-unit timeout seconds (default 600); the
+#                        scheduler's --max-seconds is this times each
+#                        worker's share of the units, times
+#                        (1 + TCSIM_SWEEP_RETRIES)
+#   TCSIM_SWEEP_RETRIES  replacements per crashed worker (default 2)
+#   TCSIM_FARM_TOKEN     farm bearer token (generated when unset)
+cd "$(dirname "$0")" || exit 1
 
-sweep_shards=0
-sched_workers=0
+sweep_workers=0
 inject_kill=0
 warm_compare=0
 sampled_errors=0
-monitor=0
 regress_baseline=""
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -112,11 +95,7 @@ while [ $# -gt 0 ]; do
             ;;
         --sweep)
             shift
-            sweep_shards="$1"
-            ;;
-        --sched)
-            shift
-            sched_workers="$1"
+            sweep_workers="$1"
             ;;
         --inject-kill)
             inject_kill=1
@@ -126,9 +105,6 @@ while [ $# -gt 0 ]; do
             ;;
         --sampled-errors)
             sampled_errors=1
-            ;;
-        --monitor)
-            monitor=1
             ;;
         --regress-against)
             shift
@@ -143,158 +119,31 @@ while [ $# -gt 0 ]; do
 done
 
 # ----------------------------------------------------------------------
-# Scheduler mode: work-stealing dispatch vs static sharding on a
-# deliberately skewed matrix.
+# Sweep mode: one scheduler, N local pull workers.
 # ----------------------------------------------------------------------
-if [ "$sched_workers" -gt 0 ]; then
+if [ "$sweep_workers" -gt 0 ]; then
     sweep_bin=build/tools/tcsim_sweep
     sched_bin=build/tools/tcsim_sched
     for bin in "$sweep_bin" "$sched_bin"; do
         [ -x "$bin" ] || { echo "$bin not built" >&2; exit 1; }
     done
-    if [ "$sched_workers" -lt 2 ]; then
-        echo "--sched needs at least 2 workers" >&2
-        exit 1
-    fi
-
-    insts="${TCSIM_INSTS:-200000}"
-    skew_cell="${TCSIM_SCHED_SKEW:-li@baseline}"
-    skew_factor="${TCSIM_SCHED_SKEW_FACTOR:-10}"
-    cache_dir="${TCSIM_CACHE_DIR-.tcsim_cache}"
-    export TCSIM_FARM_TOKEN="${TCSIM_FARM_TOKEN:-sched-$$-$(date +%s)}"
-
-    # The skewed matrix: one cell gets skew_factor x the budget, so a
-    # static partition strands whatever shares its shard. The matrix
-    # is wide enough (16 units by default) that the skewed unit is
-    # close to — not above — one worker's ideal share; that is the
-    # regime where dispatch policy, not the critical path, decides
-    # the makespan.
-    # shellcheck disable=SC2206
-    matrix_args=(${TCSIM_SWEEP_ARGS:---benchmarks
-                  compress,li,go,gcc,ijpeg,m88ksim,perl,vortex
-                  --configs baseline,promotion-t64})
-    matrix_args+=(--insts "$insts"
-                  --insts-for "$skew_cell=$((insts * skew_factor))")
-    [ -n "${TCSIM_WARMUP:-}" ] && matrix_args+=(--warmup "$TCSIM_WARMUP")
-    run_args=("${matrix_args[@]}")
-    [ -n "$cache_dir" ] && run_args+=(--cache-dir "$cache_dir")
-
-    sched_dir=.sched.tmp
-    rm -rf "$sched_dir"
-    mkdir -p "$sched_dir/static.frags" "$sched_dir/sched.frags"
-
-    n_units=$("$sweep_bin" --list "${matrix_args[@]}" \
-                  | sed -n 's/^matrix [0-9a-f]* (\([0-9]*\) units)$/\1/p')
-    [ -n "$n_units" ] || { echo "cannot enumerate matrix" >&2; exit 1; }
-    echo "sched: $n_units units, $sched_workers workers," \
-         "cell $skew_cell skewed ${skew_factor}x"
-
-    # Reference run: byte-identity oracle AND cache warm-up, so the
-    # timed runs below compare dispatch policy, not artifact
-    # generation luck.
-    "$sweep_bin" "${run_args[@]}" --out "$sched_dir/reference.json" \
-        > "$sched_dir/reference.log" 2>&1 || {
-        echo "sched: reference run failed" >&2; exit 1; }
-
-    echo "sched: static --shard $sched_workers baseline..."
-    static_start=$(date +%s.%N)
-    pids=()
-    for i in $(seq 0 $((sched_workers - 1))); do
-        "$sweep_bin" "${run_args[@]}" --shard "$i/$sched_workers" \
-            --fragments-dir "$sched_dir/static.frags" \
-            > "$sched_dir/static.$i.log" 2>&1 &
-        pids+=($!)
-    done
-    for pid in "${pids[@]}"; do
-        wait "$pid" || { echo "sched: static worker failed" >&2; exit 1; }
-    done
-    static_wall=$(date +%s.%N | awk -v s="$static_start" '{print $1 - s}')
-    "$sweep_bin" "${run_args[@]}" --merge \
-        --fragments-dir "$sched_dir/static.frags" \
-        --out "$sched_dir/static.json" || exit 1
-    cmp "$sched_dir/reference.json" "$sched_dir/static.json" || {
-        echo "sched: static merge not byte-identical" >&2; exit 1; }
-
-    echo "sched: work-stealing scheduler with $sched_workers workers..."
-    sched_start=$(date +%s.%N)
-    "$sched_bin" "${matrix_args[@]}" \
-        --fragments-dir "$sched_dir/sched.frags" \
-        --out "$sched_dir/sched.json" --port 0 \
-        --port-file "$sched_dir/port" \
-        --status-out "$sched_dir/status.json" \
-        --max-seconds "${TCSIM_UNIT_TIMEOUT:-600}" \
-        > "$sched_dir/sched.log" 2>&1 &
-    sched_pid=$!
-    for _ in $(seq 200); do
-        [ -s "$sched_dir/port" ] && break
-        kill -0 "$sched_pid" 2>/dev/null || {
-            echo "sched: scheduler died before binding" >&2; exit 1; }
-        sleep 0.05
-    done
-    url="http://127.0.0.1:$(cat "$sched_dir/port")"
-    pids=()
-    for i in $(seq 0 $((sched_workers - 1))); do
-        "$sweep_bin" "${run_args[@]}" --pull "$url" --worker "pull$i" \
-            > "$sched_dir/pull.$i.log" 2>&1 &
-        pids+=($!)
-    done
-    wait "$sched_pid" || {
-        echo "sched: scheduler failed (log: $sched_dir/sched.log)" >&2
-        exit 1; }
-    sched_wall=$(date +%s.%N | awk -v s="$sched_start" '{print $1 - s}')
-    for pid in "${pids[@]}"; do wait "$pid" || true; done
-    cmp "$sched_dir/reference.json" "$sched_dir/sched.json" || {
-        echo "sched: scheduled merge not byte-identical" >&2; exit 1; }
-
-    speedup=$(awk -v a="$static_wall" -v b="$sched_wall" \
-                  'BEGIN {printf "%.3f", a / b}')
-    counters=$(python3 - "$sched_dir/status.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-print(doc["redispatches"], doc["leases_expired"], doc["duplicates"])
-EOF
-    )
-    read -r redispatches leases_expired duplicates <<< "$counters"
-    {
-        printf '{"schema":"tcsim-bench-exhibits-v1",'
-        printf '"sched":{"workers":%d,"units":%d,' \
-            "$sched_workers" "$n_units"
-        printf '"skew_cell":"%s","skew_factor":%d,' \
-            "$skew_cell" "$skew_factor"
-        printf '"static_wall_seconds":%.3f,"sched_wall_seconds":%.3f,' \
-            "$static_wall" "$sched_wall"
-        printf '"speedup":%s,' "$speedup"
-        printf '"redispatches":%d,"leases_expired":%d,"duplicates":%d,' \
-            "$redispatches" "$leases_expired" "$duplicates"
-        printf '"byte_identical":true},"exhibits":[]}\n'
-    } > BENCH_results.json
-    echo "sched: static ${static_wall}s vs scheduled ${sched_wall}s" \
-         "(speedup ${speedup}x, results: BENCH_results.json)"
-    rm -rf "$sched_dir"
-    if ! awk -v s="$speedup" 'BEGIN {exit !(s > 1.0)}'; then
-        echo "SCHED FAILED: work stealing did not beat static" \
-             "sharding on the skewed matrix" >&2
-        exit 3
-    fi
-    echo "SCHED COMPLETE: work stealing beats static sharding" \
-         "${speedup}x on the skewed matrix"
-    exit 0
-fi
-
-# ----------------------------------------------------------------------
-# Sweep mode.
-# ----------------------------------------------------------------------
-if [ "$sweep_shards" -gt 0 ]; then
-    sweep_bin=build/tools/tcsim_sweep
-    [ -x "$sweep_bin" ] || { echo "$sweep_bin not built" >&2; exit 1; }
 
     unit_timeout="${TCSIM_UNIT_TIMEOUT:-600}"
     max_retries="${TCSIM_SWEEP_RETRIES:-2}"
     cache_dir="${TCSIM_CACHE_DIR-.tcsim_cache}"
+    # A crashed worker's lease lapses after this many seconds and its
+    # unit goes back to the pool. Live workers renew every third of it
+    # from a thread beside the simulation, so a slow unit keeps its
+    # lease however long it runs.
+    lease_timeout=10
+    if [ -z "${TCSIM_FARM_TOKEN:-}" ]; then
+        TCSIM_FARM_TOKEN=$(od -An -tx1 -N16 /dev/urandom | tr -d ' \n')
+        export TCSIM_FARM_TOKEN
+    fi
 
-    # Matrix arguments shared verbatim by workers, check and merge —
-    # unit hashes only line up when every invocation sees the same
-    # matrix. TCSIM_SWEEP_ARGS is word-split by design.
+    # Matrix arguments shared verbatim by the scheduler and its workers
+    # — the lease handshake refuses a worker whose matrix hash differs.
+    # TCSIM_SWEEP_ARGS is word-split by design.
     # shellcheck disable=SC2206
     matrix_args=(${TCSIM_SWEEP_ARGS-})
     [ -n "${TCSIM_INSTS:-}" ] && matrix_args+=(--insts "$TCSIM_INSTS")
@@ -310,147 +159,115 @@ if [ "$sweep_shards" -gt 0 ]; then
         matrix_args+=(--sampled-interval "$TCSIM_SAMPLED_INTERVAL"
                       --sampled-max-k "$TCSIM_SAMPLED_K")
     fi
-    # The monitor needs the matrix (to know the denominator and which
-    # fragments belong to this sweep) but not the cache arguments.
-    monitor_args=("${matrix_args[@]}")
-    [ -n "$cache_dir" ] && matrix_args+=(--cache-dir "$cache_dir")
+    # Workers (and the single-process reruns below) also share the
+    # artifact cache; the scheduler simulates nothing.
+    run_args=("${matrix_args[@]}")
+    [ -n "$cache_dir" ] && run_args+=(--cache-dir "$cache_dir")
 
     sweep_dir=.sweep.tmp
-    frags="$sweep_dir/fragments"
     rm -rf "$sweep_dir"
-    mkdir -p "$frags"
-
-    monitor_pid=""
-    if [ "$monitor" -eq 1 ]; then
-        monitor_bin=build/tools/tcsim_monitor
-        [ -x "$monitor_bin" ] || {
-            echo "$monitor_bin not built" >&2; exit 1; }
-        "$monitor_bin" --fragments-dir "$frags" "${monitor_args[@]}" \
-            --interval 1 --status-out FARM_status.json \
-            > "$sweep_dir/monitor.log" 2>&1 &
-        monitor_pid=$!
-        echo "sweep: monitor attached (pid $monitor_pid," \
-             "dashboard: $sweep_dir/monitor.log," \
-             "snapshots: FARM_status.json)"
-    fi
+    mkdir -p "$sweep_dir"
 
     n_units=$("$sweep_bin" --list "${matrix_args[@]}" \
                   | sed -n 's/^matrix [0-9a-f]* (\([0-9]*\) units)$/\1/p')
     [ -n "$n_units" ] || { echo "cannot enumerate matrix" >&2; exit 1; }
-    units_per_shard=$(( (n_units + sweep_shards - 1) / sweep_shards ))
-    echo "sweep: $n_units units across $sweep_shards workers" \
-         "(per-unit timeout ${unit_timeout}s)"
+    units_per_worker=$(( (n_units + sweep_workers - 1) / sweep_workers ))
+    max_seconds=$(( unit_timeout * units_per_worker * (max_retries + 1) ))
+    echo "sweep: $n_units units, scheduler + $sweep_workers pull workers" \
+         "(per-unit timeout ${unit_timeout}s, farm budget ${max_seconds}s)"
 
-    total_start=$(date +%s)
+    sweep_start=$(date +%s.%N)
+    "$sched_bin" "${matrix_args[@]}" \
+        --fragments-dir "$sweep_dir/fragments" --out SWEEP_results.json \
+        --port 0 --port-file "$sweep_dir/port" \
+        --lease-timeout "$lease_timeout" --max-seconds "$max_seconds" \
+        --status-out "$sweep_dir/status.json" \
+        > "$sweep_dir/sched.log" 2>&1 &
+    sched_pid=$!
+    for _ in $(seq 200); do
+        [ -s "$sweep_dir/port" ] && break
+        kill -0 "$sched_pid" 2>/dev/null || {
+            echo "sweep: scheduler died before binding" \
+                 "(log: $sweep_dir/sched.log)" >&2
+            exit 1; }
+        sleep 0.05
+    done
+    url="http://127.0.0.1:$(cat "$sweep_dir/port")"
 
-    # Pass 0: one shard per worker; the process timeout is the
-    # per-unit budget times the shard's unit count.
-    pids=()
-    for i in $(seq 0 $((sweep_shards - 1))); do
-        worker_args=(--shard "$i/$sweep_shards" --fragments-dir "$frags"
-                     --timing-out "$sweep_dir/timing.$i.json")
+    # Live workers by pid -> slot; a slot's replacements count against
+    # TCSIM_SWEEP_RETRIES.
+    declare -A slot_of=()
+    restarts=()
+    start_worker() {
+        local slot="$1"
+        shift
+        "$sweep_bin" "${run_args[@]}" --pull "$url" \
+            --worker "w$slot.${restarts[$slot]}" "$@" \
+            >> "$sweep_dir/worker.$slot.log" 2>&1 &
+        slot_of[$!]=$slot
+    }
+    for i in $(seq 0 $((sweep_workers - 1))); do
+        restarts[i]=0
         if [ "$inject_kill" -eq 1 ] && [ "$i" -eq 0 ]; then
-            worker_args+=(--die-after 1)
+            start_worker "$i" --die-mid-unit 1
+        else
+            start_worker "$i"
         fi
-        timeout $((unit_timeout * units_per_shard)) \
-            "$sweep_bin" "${matrix_args[@]}" "${worker_args[@]}" \
-            > "$sweep_dir/worker.$i.log" 2>&1 &
-        pids+=($!)
     done
+
+    # Supervise until the scheduler exits. A worker exits 0 only once
+    # the sweep is over; any other exit is a crash (137 from
+    # --inject-kill's SIGKILL) and the slot gets a fresh worker.
     crashed=0
-    timeout_killed_workers=0
-    for i in $(seq 0 $((sweep_shards - 1))); do
+    respawned=0
+    sweep_over=0
+    sched_code=""
+    while [ -z "$sched_code" ]; do
+        pid=""
         code=0
-        wait "${pids[$i]}" || code=$?
-        if [ "$code" -ne 0 ]; then
-            echo "sweep: worker $i exited with code $code" \
-                 "(crash or timeout; its missing units will be retried)"
+        wait -n -p pid "$sched_pid" "${!slot_of[@]}" || code=$?
+        if [ "$pid" = "$sched_pid" ]; then
+            sched_code=$code
+            break
+        fi
+        slot=${slot_of[$pid]}
+        unset "slot_of[$pid]"
+        if [ "$code" -eq 0 ]; then
+            sweep_over=1
+        else
             crashed=$((crashed + 1))
-            # timeout(1) reports an expired timer with 124; other
-            # codes (e.g. 137 from --inject-kill's SIGKILL) are
-            # crashes, not timeouts.
-            if [ "$code" -eq 124 ]; then
-                timeout_killed_workers=$((timeout_killed_workers + 1))
+            if [ "${restarts[$slot]}" -lt "$max_retries" ]; then
+                restarts[slot]=$((restarts[slot] + 1))
+                respawned=$((respawned + 1))
+                echo "sweep: worker $slot exited with code $code;" \
+                     "replacement ${restarts[$slot]}/$max_retries"
+                start_worker "$slot"
+                continue
             fi
+            echo "sweep: worker $slot exited with code $code;" \
+                 "no replacements left"
+        fi
+        if [ "${#slot_of[@]}" -eq 0 ] && [ "$sweep_over" -eq 0 ]; then
+            kill "$sched_pid" 2> /dev/null
+            wait "$sched_pid" 2> /dev/null
+            echo "SWEEP FAILED: every worker crashed before the matrix" \
+                 "was done (logs: $sweep_dir)" >&2
+            exit 1
         fi
     done
-
-    # Bounded retry: split the missing units round-robin into fresh
-    # worklists and re-run each unit under its own timeout. Per-unit
-    # retry counts accumulate in the main shell; per-unit timeout
-    # kills are appended to a file because the workers are subshells.
-    retries_used=0
-    declare -A unit_retries=()
-    : > "$sweep_dir/timeout_kills.txt"
-    for pass in $(seq 1 "$max_retries"); do
-        # --missing-out writes the retry worklist atomically (the
-        # stdout listing is kept for the log only).
-        "$sweep_bin" --check --fragments-dir "$frags" \
-            "${matrix_args[@]}" \
-            --missing-out "$sweep_dir/missing.txt" \
-            > "$sweep_dir/check.log" 2>&1 && break
-        n_missing=$(wc -l < "$sweep_dir/missing.txt")
-        echo "sweep: retry pass $pass for $n_missing missing units"
-        retries_used=$pass
-        for i in $(seq 0 $((sweep_shards - 1))); do
-            : > "$sweep_dir/retry.$i.txt"
-        done
-        j=0
-        while read -r h; do
-            [ -n "$h" ] || continue
-            unit_retries[$h]=$(( ${unit_retries[$h]:-0} + 1 ))
-            echo "$h" >> "$sweep_dir/retry.$((j % sweep_shards)).txt"
-            j=$((j + 1))
-        done < "$sweep_dir/missing.txt"
-        pids=()
-        for i in $(seq 0 $((sweep_shards - 1))); do
-            [ -s "$sweep_dir/retry.$i.txt" ] || continue
-            (
-                while read -r h; do
-                    [ -n "$h" ] || continue
-                    echo "$h" > "$sweep_dir/retry.$i.one"
-                    rc=0
-                    timeout "$unit_timeout" "$sweep_bin" \
-                        "${matrix_args[@]}" \
-                        --worklist "$sweep_dir/retry.$i.one" \
-                        --fragments-dir "$frags" \
-                        >> "$sweep_dir/worker.$i.log" 2>&1 || rc=$?
-                    if [ "$rc" -eq 124 ]; then
-                        echo "$h" >> "$sweep_dir/timeout_kills.txt"
-                    fi
-                done < "$sweep_dir/retry.$i.txt"
-            ) &
-            pids+=($!)
-        done
-        for pid in "${pids[@]}"; do wait "$pid" || true; done
-    done
-
-    if ! "$sweep_bin" --check --fragments-dir "$frags" \
-             "${matrix_args[@]}" > /dev/null 2>&1; then
-        echo "sweep: units still missing after $max_retries retries:" >&2
-        "$sweep_bin" --check --fragments-dir "$frags" \
-            "${matrix_args[@]}" 2>&1 >&2 | sed 's/^/  /' >&2
+    sweep_wall=$(date +%s.%N | awk -v s="$sweep_start" '{printf "%.3f", $1 - s}')
+    # The scheduler wrote the final document; workers still running
+    # hold only duplicate straggler work.
+    for pid in "${!slot_of[@]}"; do kill "$pid" 2> /dev/null; done
+    wait
+    if [ "$sched_code" -ne 0 ]; then
+        echo "SWEEP FAILED: scheduler exited with code $sched_code" \
+             "($([ "$sched_code" -eq 5 ] && echo "farm budget" \
+                 "${max_seconds}s exceeded; ")log: $sweep_dir/sched.log)" >&2
         exit 1
     fi
 
-    "$sweep_bin" --merge --fragments-dir "$frags" "${matrix_args[@]}" \
-        --out SWEEP_results.json || exit 1
-    total=$(( $(date +%s) - total_start ))
-
-    if [ -n "$monitor_pid" ]; then
-        kill "$monitor_pid" 2> /dev/null || true
-        wait "$monitor_pid" 2> /dev/null || true
-        # A fast sweep can finish between monitor polls; refresh the
-        # snapshot once post-merge so FARM_status.json always records
-        # the final state instead of whatever the last poll caught.
-        "$sweep_bin" --status --fragments-dir "$frags" \
-            "${monitor_args[@]}" --status-out FARM_status.json \
-            > "$sweep_dir/final_status.txt" 2>&1 || true
-        echo "sweep: final farm view:"
-        sed 's/^/  /' "$sweep_dir/final_status.txt"
-    fi
-
-    # Optional perf-regression gate against a prior merged document.
+    # Optional perf-regression gate against a prior results document.
     regress_json=""
     if [ -n "$regress_baseline" ]; then
         regress_bin=build/tools/tcsim_regress
@@ -484,7 +301,7 @@ if [ "$sweep_shards" -gt 0 ]; then
     warm_json=""
     if [ "$warm_compare" -eq 1 ] && [ -n "$cache_dir" ]; then
         warm_start=$(date +%s.%N)
-        "$sweep_bin" "${matrix_args[@]}" \
+        "$sweep_bin" "${run_args[@]}" \
             --out "$sweep_dir/warm.json" \
             --timing-out "$sweep_dir/warm.timing.json" \
             > "$sweep_dir/warm.log" 2>&1 || exit 1
@@ -506,7 +323,7 @@ if [ "$sweep_shards" -gt 0 ]; then
     if [ "$sampled_errors" -eq 1 ]; then
         tolerance="${TCSIM_ERROR_TOLERANCE:-0.05}"
         mispredict_tolerance="${TCSIM_MISPREDICT_TOLERANCE:-0.08}"
-        "$sweep_bin" "${matrix_args[@]}" \
+        "$sweep_bin" "${run_args[@]}" \
             --error-out "$sweep_dir/errors.json" \
             --error-tolerance "$tolerance" \
             --mispredict-tolerance "$mispredict_tolerance" \
@@ -529,58 +346,29 @@ if [ "$sweep_shards" -gt 0 ]; then
              "(mispredict $mispredict_tolerance, SAMPLING_errors.json)"
     fi
 
-    # BENCH_results.json: sweep timing + per-worker cache statistics
-    # (the canonical simulation numbers live in SWEEP_results.json;
-    # everything here is wall-clock, which is why it is kept apart).
+    # BENCH_results.json: sweep wall-clock, worker crashes and the
+    # scheduler's final tcsim-sched-status-v1 document (the canonical
+    # simulation numbers live in SWEEP_results.json; everything here
+    # is wall-clock, which is why it is kept apart).
     {
         printf '{"schema":"tcsim-bench-exhibits-v1",'
-        printf '"sweep":{"shards":%d,"units":%d,' \
-            "$sweep_shards" "$n_units"
-        printf '"total_wall_seconds":%d,"retry_passes":%d,' \
-            "$total" "$retries_used"
-        printf '"crashed_workers":%d,' "$crashed"
-        printf '"timeout_killed_workers":%d,' "$timeout_killed_workers"
-        printf '"monitored":%s,' \
-            "$([ "$monitor" -eq 1 ] && echo true || echo false)"
-        # Per-unit retry counts (hash -> times it landed on a retry
-        # worklist) and units whose retry was cut down by the per-unit
-        # timeout. Empty when pass 0 covered everything.
-        printf '"unit_retries":['
-        first=1
-        for h in "${!unit_retries[@]}"; do
-            [ $first -eq 1 ] || printf ','
-            first=0
-            printf '{"hash":"%s","retries":%d}' "$h" \
-                "${unit_retries[$h]}"
-        done
-        printf '],"timeout_killed_units":['
-        first=1
-        if [ -f "$sweep_dir/timeout_kills.txt" ]; then
-            while read -r h; do
-                [ -n "$h" ] || continue
-                [ $first -eq 1 ] || printf ','
-                first=0
-                printf '"%s"' "$h"
-            done < "$sweep_dir/timeout_kills.txt"
-        fi
-        printf '],%s%s%s"workers":[' \
-            "$warm_json" "$error_json" "$regress_json"
-        first=1
-        for f in "$sweep_dir"/timing.*.json; do
-            [ -f "$f" ] || continue
-            [ $first -eq 1 ] || printf ','
-            first=0
-            tr -d '\n' < "$f"
-        done
-        printf ']},"exhibits":[]}\n'
+        printf '"sweep":{"workers":%d,"units":%d,' \
+            "$sweep_workers" "$n_units"
+        printf '"total_wall_seconds":%s,' "$sweep_wall"
+        printf '"crashed_workers":%d,"respawned_workers":%d,' \
+            "$crashed" "$respawned"
+        printf '%s%s%s"scheduler":%s' \
+            "$warm_json" "$error_json" "$regress_json" \
+            "$(tr -d '\n' < "$sweep_dir/status.json")"
+        printf '},"exhibits":[]}\n'
     } > BENCH_results.json
     rm -rf "$sweep_dir"
     if [ -n "$regress_baseline" ] && [ "${regress_code:-0}" -eq 5 ]; then
-        echo "SWEEP FAILED perf-regression gate in ${total}s" \
+        echo "SWEEP FAILED perf-regression gate in ${sweep_wall}s" \
              "(report: REGRESSION_report.json)" >&2
         exit 5
     fi
-    echo "SWEEP COMPLETE in ${total}s" \
+    echo "SWEEP COMPLETE in ${sweep_wall}s" \
          "(results: SWEEP_results.json, timing: BENCH_results.json)"
     exit 0
 fi

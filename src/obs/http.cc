@@ -173,6 +173,27 @@ renderHttpResponse(const HttpResponse &resp)
     return out;
 }
 
+std::string
+httpQueryParam(const std::string &query, const std::string &key)
+{
+    std::size_t start = 0;
+    while (start <= query.size()) {
+        const std::size_t amp = query.find('&', start);
+        const std::size_t end =
+            amp == std::string::npos ? query.size() : amp;
+        const std::string pair = query.substr(start, end - start);
+        const std::size_t eq = pair.find('=');
+        if (eq != std::string::npos && pair.substr(0, eq) == key)
+            return pair.substr(eq + 1);
+        if (pair == key)
+            return "1"; // bare flag
+        if (amp == std::string::npos)
+            break;
+        start = amp + 1;
+    }
+    return "";
+}
+
 bool
 parseHttpUrl(const std::string &url, std::string &host_out,
              std::uint16_t &port_out)

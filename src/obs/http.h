@@ -1,9 +1,8 @@
 /**
  * @file
  * Minimal shared HTTP plumbing for the farm's LAN/CI endpoints: the
- * status server, the object-store shim and the sweep scheduler all
- * speak the same tiny dialect through this module instead of each
- * owning a socket loop.
+ * object-store shim and the sweep scheduler both speak the same tiny
+ * dialect through this module instead of each owning a socket loop.
  *
  * Scope is deliberately small: HTTP/1.0, one request per connection,
  * plain POSIX sockets, no TLS, mandatory bearer-token auth on the
@@ -56,6 +55,10 @@ const char *httpStatusText(int status);
  */
 bool parseHttpUrl(const std::string &url, std::string &host_out,
                   std::uint16_t &port_out);
+
+/** The raw value of `key=` in @p query; "1" for a bare `key`, "" when
+ * absent. */
+std::string httpQueryParam(const std::string &query, const std::string &key);
 
 /**
  * A single-threaded accept loop serving one handler. Every request

@@ -2,18 +2,22 @@
 # End-to-end chaos smoke test for the sweep scheduler, driven by ctest:
 #
 #  1. single-process reference document,
-#  2. fragments dir pre-seeded with garbage: a stale fragment from a
-#     DIFFERENT matrix (old config fingerprint) and a corrupt object —
-#     the scheduler's resume scan must ignore both,
-#  3. tcsim_sched + 3 pulled workers, one SIGKILLed mid-lease
+#  2. store pre-seeded with garbage the resume scan must skip: a stale
+#     fragment delivered by a farm over a DIFFERENT matrix, a corrupt
+#     object, and a fragment truncated mid-record under a REAL unit
+#     hash of this matrix,
+#  3. /lease and /status answer 401 to a missing or a wrong bearer
+#     token, and the 401 body names nothing of the matrix,
+#  4. tcsim_sched + 3 pulled workers, one SIGKILLed mid-lease
 #     (--die-mid-unit) and one injected straggler (--inject-slow-ms):
 #     the schedule must recover both units (lease expiry / speculative
 #     re-dispatch), with at least one re-dispatch observed,
-#  4. the streamed-merge document must be byte-identical to the
+#  5. the streamed-merge document must be byte-identical to the
 #     single-process reference, and the status / partial / manifest
-#     documents must validate against their schemas,
-#  5. a scheduler restart over the finished store resumes to done
-#     without dispatching anything.
+#     documents and every stored fragment of the matrix must validate,
+#  6. a scheduler restart over the finished store resumes to done
+#     without leasing anything — which also proves /complete healed
+#     the truncated object (resume would re-dispatch it otherwise).
 #
 # Usage: sched_smoke.sh <cmake-build-dir>
 set -eu
@@ -33,29 +37,48 @@ matrix=(--benchmarks compress,li --configs baseline,promotion-t64
         --insts 20000 --warmup 5000)
 margs=("${matrix[@]}" --cache-dir "$scratch/cache")
 
+# start_sched <port-file> <tcsim_sched args...>: launch a scheduler in
+# the background on an ephemeral port; sets sched_pid and url.
+start_sched() {
+    local port_file="$1"
+    shift
+    "$sched" "$@" --port 0 --port-file "$port_file" &
+    sched_pid=$!
+    for _ in $(seq 100); do
+        [ -s "$port_file" ] && break
+        kill -0 "$sched_pid" 2>/dev/null || {
+            echo "scheduler died before binding" >&2; exit 1; }
+        sleep 0.1
+    done
+    [ -s "$port_file" ] || { echo "scheduler never bound" >&2; exit 1; }
+    url="http://127.0.0.1:$(cat "$port_file")"
+}
+
 echo "== single-process reference =="
 "$sweep" "${margs[@]}" --out "$scratch/single.json"
 
-echo "== pre-seed chaos: stale fragment + corrupt object =="
+echo "== pre-seed chaos: stale, corrupt and truncated fragments =="
 # A fragment from a different matrix (other insts budget => other
 # config fingerprint and content hash): valid bytes, wrong sweep.
-"$sweep" --benchmarks compress --configs baseline --insts 10000 \
-         --cache-dir "$scratch/cache" --shard 0/1 \
-         --fragments-dir "$scratch/frags"
+# Made the one way fragments are made — by a farm run.
+stale_matrix=(--benchmarks compress --configs baseline --insts 10000)
+start_sched "$scratch/port0" "${stale_matrix[@]}" \
+            --fragments-dir "$scratch/frags" --out "$scratch/stale.json" \
+            --max-seconds 60
+"$sweep" "${stale_matrix[@]}" --cache-dir "$scratch/cache" \
+         --pull "$url" --worker seed
+wait "$sched_pid"
 stale=$(ls "$scratch/frags"/*.json)
 [ -n "$stale" ] || { echo "no stale fragment seeded" >&2; exit 1; }
 echo '{"schema": "tcsim-bench-fragment-v1", "truncated' \
     > "$scratch/frags/0123456789abcdef.json"
-
-echo "== truncated-mid-record fragment: --check and resume agree =="
 # A fragment truncated mid-record into VALID JSON (schema and unit
 # header intact, result record incomplete) under a REAL unit hash of
-# this matrix — e.g. a torn upload from a dying worker. Both the
-# launcher's --check worklist and the scheduler's resume scan must
-# reject it with the same validity predicate, and the scheduler must
-# heal the store object once the unit really completes.
-poison=$("$sweep" --list "${matrix[@]}" | awk 'NR==2 {print $2}')
-poison_id=$("$sweep" --list "${matrix[@]}" | awk 'NR==2 {print $3}')
+# this matrix — e.g. a torn upload from a dying worker.
+"$sweep" --list "${matrix[@]}" > "$scratch/list.txt"
+matrix_hash=$(awk 'NR==1 {print $2}' "$scratch/list.txt")
+poison=$(awk 'NR==2 {print $2}' "$scratch/list.txt")
+poison_id=$(awk 'NR==2 {print $3}' "$scratch/list.txt")
 [ -n "$poison" ] || { echo "cannot list the matrix" >&2; exit 1; }
 printf '%s\n' "{\"schema\": \"tcsim-bench-fragment-v1\",
   \"unit\": {\"index\": 0, \"id\": \"$poison_id\",
@@ -65,46 +88,58 @@ printf '%s\n' "{\"schema\": \"tcsim-bench-fragment-v1\",
   \"result\": {\"benchmark\": \"compress\", \"config\": \"baseline\",
                \"instructions\": 20000}}" \
     > "$scratch/frags/$poison.json"
-if "$sweep" --check "${matrix[@]}" --fragments-dir "$scratch/frags" \
-        --missing-out "$scratch/missing.txt" > /dev/null 2>&1; then
-    echo "--check accepted a truncated-mid-record fragment" >&2
-    exit 1
-fi
-grep -q "^$poison\$" "$scratch/missing.txt" || {
-    echo "--check did not put the truncated unit on the retry" \
-         "worklist" >&2; exit 1; }
 
-echo "== scheduler + kill + straggler chaos =="
-"$sched" "${matrix[@]}" --fragments-dir "$scratch/frags" \
-         --out "$scratch/sched.json" --port 0 \
-         --port-file "$scratch/port" --lease-timeout 4 \
-         --straggler-k 2 --min-median-samples 2 \
-         --partial-out "$scratch/partial.json" \
-         --status-out "$scratch/status.json" \
-         --manifest-out "$scratch/manifest.json" \
-         --max-seconds 120 &
-sched_pid=$!
-for _ in $(seq 100); do
-    [ -s "$scratch/port" ] && break
-    kill -0 "$sched_pid" 2>/dev/null || {
-        echo "scheduler died before binding" >&2; exit 1; }
-    sleep 0.1
-done
-url="http://127.0.0.1:$(cat "$scratch/port")"
+echo "== scheduler up; a missing or wrong token gets 401 =="
+start_sched "$scratch/port" "${matrix[@]}" \
+            --fragments-dir "$scratch/frags" --out "$scratch/sched.json" \
+            --lease-timeout 4 --straggler-k 2 --min-median-samples 2 \
+            --partial-out "$scratch/partial.json" \
+            --status-out "$scratch/status.json" \
+            --manifest-out "$scratch/manifest.json" \
+            --max-seconds 120
+# Every unit hash and id of the matrix is a secret the 401 must keep.
+python3 - "$url" "$TCSIM_FARM_TOKEN" "$matrix_hash" \
+        $(awk 'NR>1 {print $2, $3}' "$scratch/list.txt") <<'EOF'
+import sys, urllib.error, urllib.request
+url, token, matrix_hash = sys.argv[1:4]
+secrets = sys.argv[3:]
 
+def fetch(method, path, auth):
+    headers = {"Authorization": auth} if auth else {}
+    request = urllib.request.Request(
+        url + path, method=method, headers=headers,
+        data=b"" if method == "POST" else None)
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status, response.read().decode()
+    except urllib.error.HTTPError as err:
+        return err.code, err.read().decode()
+
+for method, path in (("POST", "/lease?worker=intruder"),
+                     ("GET", "/status")):
+    for auth in (None, "Bearer wrong-token"):
+        code, body = fetch(method, path, auth)
+        assert code == 401, (method, path, auth, code)
+        leaked = [s for s in secrets if s in body]
+        assert not leaked, (path, "401 body leaks", leaked)
+code, body = fetch("GET", "/status", "Bearer " + token)
+assert code == 200 and matrix_hash in body, (code, body)
+EOF
+
+echo "== kill + straggler chaos =="
 # w1 SIGKILLs itself right after taking its first lease; its unit must
 # be recovered. Expected to die by signal, so `if` guards set -e.
 if "$sweep" "${matrix[@]}" --pull "$url" --worker w1 \
-            --die-mid-unit 1 --heartbeat 0.5 2> "$scratch/w1.log"; then
+            --die-mid-unit 1 2> "$scratch/w1.log"; then
     echo "w1 should have been SIGKILLed" >&2
     exit 1
 fi
 # w2 stalls 6s on every unit (>> 2 x median): a live straggler whose
 # units get speculatively re-dispatched. w3 is healthy and steals the
 # rest of the pool. Workers share the reference run's artifact cache.
-"$sweep" "${margs[@]}" --pull "$url" --worker w2 --heartbeat 0.5 \
+"$sweep" "${margs[@]}" --pull "$url" --worker w2 \
          --inject-slow-ms 6000 > "$scratch/w2.log" 2>&1 &
-"$sweep" "${margs[@]}" --pull "$url" --worker w3 --heartbeat 0.5 \
+"$sweep" "${margs[@]}" --pull "$url" --worker w3 \
          > "$scratch/w3.log" 2>&1 &
 wait "$sched_pid"
 wait
@@ -112,25 +147,17 @@ wait
 echo "== merged document is byte-identical =="
 cmp "$scratch/single.json" "$scratch/sched.json"
 
-echo "== scheduler healed the poisoned store object =="
-# /complete must have overwritten the truncated fragment with the
-# verified payload (first-wins applies only to VALID duplicates):
-# post-run, no unit may land on the retry worklist. The pre-seeded
-# corrupt/stale garbage still trips --check's exit code by design,
-# so the assertion is on the worklist, not the exit status.
-"$sweep" --check "${matrix[@]}" --fragments-dir "$scratch/frags" \
-    --missing-out "$scratch/missing2.txt" > /dev/null 2>&1 || true
-if [ -s "$scratch/missing2.txt" ]; then
-    echo "store still rejects completed units after healing:" >&2
-    cat "$scratch/missing2.txt" >&2
-    exit 1
-fi
-
 echo "== re-dispatch fired and documents validate =="
+# Every unit's stored fragment validates — the torn one included,
+# since /complete replaced it with the verified payload.
+fragments=()
+for hash in $(awk 'NR>1 {print $2}' "$scratch/list.txt"); do
+    fragments+=(--fragment "$scratch/frags/$hash.json")
+done
 python3 "$validate" --sched-status "$scratch/status.json" \
         --partial "$scratch/partial.json" \
         --store-manifest "$scratch/manifest.json" \
-        --results "$scratch/sched.json"
+        --results "$scratch/sched.json" "${fragments[@]}"
 python3 - "$scratch/status.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))

@@ -1,18 +1,26 @@
 #!/bin/bash
-# End-to-end smoke test for the tcsim_sweep binary, driven by ctest:
+# End-to-end smoke test for the tcsim_sweep and tcsim_regress binaries,
+# driven by ctest:
 #
 #  1. cold single-process run (populates the artifact cache),
 #  2. warm rerun — must be byte-identical with every cache lookup a
 #     hit (hits change wall-clock only, never results),
-#  3. 2-shard run with worker 0 SIGKILLed after one unit, --check
-#     reporting the lost unit, a --worklist retry, and a --merge that
-#     must reproduce the single-process document byte for byte.
+#  3. tcsim_regress self-compare is clean (exit 0), and a current run
+#     with one unit's IPC cut by 10% is flagged (exit 5); both
+#     reports validate as tcsim-regression-v1.
+#
+# Kill, recovery and the scheduled byte-identical merge are covered
+# by sched_smoke.sh.
 #
 # Usage: sweep_smoke.sh <cmake-build-dir>
 set -eu
 
 bin="$1/tools/tcsim_sweep"
-[ -x "$bin" ] || { echo "missing binary: $bin" >&2; exit 1; }
+regress="$1/tools/tcsim_regress"
+validate="$(cd "$(dirname "$0")/.." && pwd)/tools/validate_obs.py"
+for b in "$bin" "$regress"; do
+    [ -x "$b" ] || { echo "missing binary: $b" >&2; exit 1; }
+done
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
@@ -35,31 +43,32 @@ assert cache["enabled"], cache
 assert cache["hits"] > 0 and cache["misses"] == 0, cache
 EOF
 
-echo "== shard 0/2 with injected SIGKILL =="
-if "$bin" "${margs[@]}" --shard 0/2 \
-       --fragments-dir "$scratch/frags" --die-after 1; then
-    echo "worker 0 should have been killed" >&2
-    exit 1
-fi
+echo "== regress self-compare is clean =="
+"$regress" --baseline "$scratch/single.json" \
+           --current "$scratch/single.json" \
+           --out "$scratch/regress-clean.json"
+python3 "$validate" --regression "$scratch/regress-clean.json"
 
-echo "== shard 1/2 runs to completion =="
-"$bin" "${margs[@]}" --shard 1/2 --fragments-dir "$scratch/frags"
-
-echo "== check reports the lost unit =="
+echo "== regress flags an injected IPC loss with exit 5 =="
+python3 - "$scratch/single.json" "$scratch/perturbed.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["results"][0]["ipc"] *= 0.9
+json.dump(doc, open(sys.argv[2], "w"))
+EOF
 rc=0
-"$bin" "${margs[@]}" --check --fragments-dir "$scratch/frags" \
-       > "$scratch/missing.txt" || rc=$?
-[ "$rc" -eq 2 ] || { echo "expected check exit 2, got $rc" >&2; exit 1; }
-[ -s "$scratch/missing.txt" ] || { echo "no missing units listed" >&2; exit 1; }
-
-echo "== worklist retry fills the hole =="
-"$bin" "${margs[@]}" --worklist "$scratch/missing.txt" \
-       --fragments-dir "$scratch/frags"
-"$bin" "${margs[@]}" --check --fragments-dir "$scratch/frags"
-
-echo "== merge is byte-identical to single-process =="
-"$bin" "${margs[@]}" --merge --fragments-dir "$scratch/frags" \
-       --out "$scratch/merged.json"
-cmp "$scratch/single.json" "$scratch/merged.json"
+"$regress" --baseline "$scratch/single.json" \
+           --current "$scratch/perturbed.json" \
+           --out "$scratch/regress-bad.json" || rc=$?
+[ "$rc" -eq 5 ] || { echo "expected regress exit 5, got $rc" >&2; exit 1; }
+python3 "$validate" --regression "$scratch/regress-bad.json"
+python3 - "$scratch/regress-bad.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["regressed"] is True, doc
+bad = [u for u in doc["units"] if u["regressed"]]
+assert len(bad) == 1, bad
+assert any(m["name"] == "ipc" and m["regressed"] for m in bad[0]["metrics"])
+EOF
 
 echo "sweep smoke OK"

@@ -16,6 +16,7 @@
 
 #include "bench/artifact_cache.h"
 #include "bench/harness.h"
+#include "scratch_dir.h"
 #include "workload/profile.h"
 
 namespace
@@ -27,14 +28,8 @@ using namespace tcsim::bench;
 class ArtifactCacheTest : public testing::Test
 {
   protected:
-    void SetUp() override
-    {
-        dir_ = testing::TempDir() + "/tcsim_artifact_cache_test";
-        std::filesystem::remove_all(dir_);
-    }
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-
-    std::string dir_;
+    testing_util::ScratchDir scratch_;
+    const std::string dir_ = scratch_.path();
 };
 
 TEST_F(ArtifactCacheTest, DisabledCacheAlwaysProduces)

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 
+#include "scratch_dir.h"
 #include "sim/config.h"
 #include "sim/processor.h"
 #include "workload/btrace.h"
@@ -28,12 +29,6 @@ namespace
 {
 
 constexpr std::uint64_t kTraceInsts = 40000;
-
-std::string
-tracePath(const std::string &tag)
-{
-    return testing::TempDir() + "/tcsim_btrace_test_" + tag + ".btrace";
-}
 
 std::string
 readFileBytes(const std::string &path)
@@ -78,7 +73,8 @@ class BtraceRoundTrip : public testing::TestWithParam<const char *>
 TEST_P(BtraceRoundTrip, RecordReplayBitIdentical)
 {
     const std::string benchmark = GetParam();
-    const std::string path = tracePath(benchmark);
+    const testing_util::ScratchDir scratch;
+    const std::string path = scratch.file("trace.btrace");
     const auto recorded = recordBenchmark(benchmark, path, kTraceInsts);
     ASSERT_GT(recorded.records, 0u);
     EXPECT_EQ(recorded.instructions, kTraceInsts);
@@ -113,8 +109,6 @@ TEST_P(BtraceRoundTrip, RecordReplayBitIdentical)
     EXPECT_EQ(replayed.tcLookups, recorded.tcLookups);
     EXPECT_EQ(replayed.tcHits, recorded.tcHits);
     EXPECT_EQ(replayed.halted, recorded.halted);
-
-    std::filesystem::remove(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(LegacyAndServer, BtraceRoundTrip,
@@ -132,7 +126,8 @@ INSTANTIATE_TEST_SUITE_P(LegacyAndServer, BtraceRoundTrip,
 // records from the adopted buffer.
 TEST(Btrace, OpenBytesMatchesOpen)
 {
-    const std::string path = tracePath("openbytes");
+    const testing_util::ScratchDir scratch;
+    const std::string path = scratch.file("trace.btrace");
     recordBenchmark("compress", path, kTraceInsts);
     const std::string bytes = readFileBytes(path);
 
@@ -154,7 +149,6 @@ TEST(Btrace, OpenBytesMatchesOpen)
         EXPECT_EQ(a.cls, b.cls);
         EXPECT_EQ(a.taken, b.taken);
     }
-    std::filesystem::remove(path);
 }
 
 // Corruption rejection: every class of damage must be refused with the
@@ -164,13 +158,11 @@ class BtraceCorruption : public testing::Test
   protected:
     void SetUp() override
     {
-        path_ = tracePath("corrupt");
+        path_ = scratch_.file("trace.btrace");
         recordBenchmark("compress", path_, 20000);
         good_ = readFileBytes(path_);
         ASSERT_GT(good_.size(), kBtraceHeaderBytes + kBtraceRecordBytes);
     }
-
-    void TearDown() override { std::filesystem::remove(path_); }
 
     /** Expect both open paths to reject @p bytes citing @p reason. */
     void expectRejected(const std::string &bytes,
@@ -187,6 +179,7 @@ class BtraceCorruption : public testing::Test
         EXPECT_EQ(error, reason);
     }
 
+    testing_util::ScratchDir scratch_;
     std::string path_;
     std::string good_;
 };

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "scratch_dir.h"
 
 namespace
 {
@@ -91,8 +92,8 @@ TEST(Json, RejectsMalformedDocuments)
 
 TEST(Json, ParseFileReadsAndFails)
 {
-    const std::string path =
-        testing::TempDir() + "/tcsim_json_test.json";
+    const testing_util::ScratchDir scratch;
+    const std::string path = scratch.file("doc.json");
     {
         std::ofstream out(path);
         out << "{\"k\": 123}\n";

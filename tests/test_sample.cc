@@ -18,6 +18,7 @@
 #include "bench/artifact_cache.h"
 #include "bench/sweep.h"
 #include "sample/simpoints.h"
+#include "scratch_dir.h"
 #include "sim/processor.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -134,10 +135,8 @@ TEST(SamplePlan, BandedSelectionFindsTwoPhases)
 
 TEST(SampleBbv, ArtifactStoreCorruptRejectRebuild)
 {
-    const std::string dir =
-        testing::TempDir() + "/tcsim_bbv_artifact_test";
-    std::filesystem::remove_all(dir);
-    bench::ArtifactCache cache(dir);
+    const testing_util::ScratchDir scratch;
+    bench::ArtifactCache cache(scratch.path());
     const std::string key = bench::bbvArtifactKey("compress", 40000,
                                                   10000);
     const std::string json = compressProfile().toJson();
@@ -171,7 +170,6 @@ TEST(SampleBbv, ArtifactStoreCorruptRejectRebuild)
     auto rehit = cache.load("bbv", key);
     ASSERT_TRUE(rehit.has_value());
     EXPECT_EQ(*rehit, json);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(SampleWarmState, ExportImportRoundTrip)

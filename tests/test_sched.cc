@@ -4,17 +4,27 @@
  * time: work-stealing dispatch order, lease expiry after a worker
  * dies, straggler re-dispatch and first-fragment-wins dedup, resume
  * from pre-existing fragments, and byte-identity of the streaming
- * merge against the shared single-process renderer.
+ * merge against the shared single-process renderer. Then its HTTP
+ * routes (SchedServer): bearer-token rejection on /lease and /status,
+ * and /complete healing a poisoned store object.
  */
 
 #include <string>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "bench/sched.h"
+#include "bench/store.h"
 #include "bench/sweep.h"
 #include "common/json.h"
+#include "obs/http.h"
+#include "scratch_dir.h"
 #include "sim/config.h"
 
 namespace
@@ -208,6 +218,54 @@ TEST(Sched, StragglerIsRedispatchedAndFirstFragmentWins)
     EXPECT_EQ(sched.renderResults(), renderResultsDoc(units, integers));
 }
 
+TEST(Sched, StragglerNeedsMedianFloorAndThreshold)
+{
+    const auto units = testUnits();
+    SchedOptions options;
+    options.leaseTimeoutSeconds = 100.0; // nothing expires here
+    options.stragglerK = 4.0;
+    options.minMedianSamples = 3;
+
+    // Two completed samples: below the floor, so no re-dispatch even
+    // though unit 0 has been in flight 20s against a 1.5s median.
+    Scheduler floor(units, options);
+    LeaseGrant slow, grant;
+    ASSERT_EQ(floor.acquire("w1", 0.0, slow), AcquireStatus::Granted);
+    ASSERT_EQ(floor.acquire("w2", 0.0, grant), AcquireStatus::Granted);
+    ASSERT_EQ(floor.complete("w2", grant.hash, fakeIntegers(1), 1.0),
+              Scheduler::CompleteStatus::Accepted);
+    ASSERT_EQ(floor.acquire("w2", 1.0, grant), AcquireStatus::Granted);
+    ASSERT_EQ(floor.complete("w2", grant.hash, fakeIntegers(2), 3.0),
+              Scheduler::CompleteStatus::Accepted);
+    LeaseGrant held;
+    ASSERT_EQ(floor.acquire("w3", 3.0, held), AcquireStatus::Granted);
+    EXPECT_EQ(floor.acquire("w2", 20.0, grant), AcquireStatus::Wait);
+    EXPECT_EQ(floor.redispatches(), 0u);
+    // The third sample reaches the floor and unit 0 is re-dispatched.
+    ASSERT_EQ(floor.complete("w3", held.hash, fakeIntegers(3), 21.0),
+              Scheduler::CompleteStatus::Accepted);
+    ASSERT_EQ(floor.acquire("w2", 21.0, grant), AcquireStatus::Granted);
+    EXPECT_EQ(grant.hash, slow.hash);
+    EXPECT_EQ(floor.redispatches(), 1u);
+
+    // Durations 1, 2, 3: median 2.0, threshold 8.0. At exactly 8s in
+    // flight unit 0 is not yet a straggler; past it, it is.
+    Scheduler edge(units, options);
+    ASSERT_EQ(edge.acquire("w1", 0.0, slow), AcquireStatus::Granted);
+    double now = 0.0;
+    for (std::uint32_t i = 1; i < units.size(); ++i) {
+        ASSERT_EQ(edge.acquire("w2", now, grant), AcquireStatus::Granted);
+        now += static_cast<double>(i);
+        ASSERT_EQ(edge.complete("w2", grant.hash, fakeIntegers(i), now),
+                  Scheduler::CompleteStatus::Accepted);
+    }
+    EXPECT_EQ(edge.acquire("w2", 8.0, grant), AcquireStatus::Wait);
+    EXPECT_EQ(edge.redispatches(), 0u);
+    ASSERT_EQ(edge.acquire("w2", 8.5, grant), AcquireStatus::Granted);
+    EXPECT_EQ(grant.hash, slow.hash);
+    EXPECT_EQ(edge.redispatches(), 1u);
+}
+
 TEST(Sched, CompleteAcceptedFromLeaselessWorker)
 {
     // A worker whose lease expired while its fragment was in flight
@@ -286,6 +344,160 @@ TEST(Sched, PartialAndStatusDocumentsAreWellFormed)
     EXPECT_EQ(workers->items()[0].getString("worker"), "w1");
     EXPECT_EQ(workers->items()[0].getUint64("completed"), 1u);
     EXPECT_EQ(workers->items()[0].getUint64("active_leases"), 1u);
+}
+
+// ---------------------------------------------------------------------
+// The scheduler's HTTP routes.
+// ---------------------------------------------------------------------
+
+/** One raw HTTP/1.0 exchange with no Authorization header at all. */
+std::string
+requestWithoutToken(std::uint16_t port, const std::string &method,
+                    const std::string &path)
+{
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return "";
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                sizeof(addr)) != 0) {
+        close(fd);
+        return "";
+    }
+    const std::string request = method + " " + path + " HTTP/1.0\r\n\r\n";
+    (void)!write(fd, request.data(), request.size());
+    std::string response;
+    char buf[4096];
+    ssize_t n;
+    while ((n = read(fd, buf, sizeof(buf))) > 0)
+        response.append(buf, static_cast<std::size_t>(n));
+    close(fd);
+    return response;
+}
+
+/** @return whether @p text names any of the matrix's data. */
+bool
+leaksMatrix(const std::string &text, const std::vector<WorkUnit> &units)
+{
+    if (text.find(matrixHash(units)) != std::string::npos ||
+        text.find("tcsim-sched") != std::string::npos) {
+        return true;
+    }
+    for (const WorkUnit &unit : units) {
+        if (text.find(unit.hash) != std::string::npos ||
+            text.find(unit.id) != std::string::npos) {
+            return true;
+        }
+    }
+    return false;
+}
+
+TEST(SchedServer, RejectsWithoutTokenServesWithIt)
+{
+    const testing_util::ScratchDir scratch;
+    LocalDirStore store(scratch.path());
+    const auto units = testUnits();
+    SchedServer service(units, fastOptions(), store);
+    obs::HttpServer server;
+    ASSERT_TRUE(server.start("127.0.0.1", 0, "hunter2",
+                             [&service](const obs::HttpRequest &request) {
+                                 return service.handle(request);
+                             }));
+    ASSERT_NE(server.port(), 0);
+
+    for (const auto &[method, path] :
+         {std::pair<std::string, std::string>{"POST", "/lease?worker=w1"},
+          {"GET", "/status"}}) {
+        const std::string missing =
+            requestWithoutToken(server.port(), method, path);
+        EXPECT_NE(missing.find(" 401 "), std::string::npos) << missing;
+        EXPECT_FALSE(leaksMatrix(missing, units)) << missing;
+
+        const auto wrong = obs::httpRequest("127.0.0.1", server.port(),
+                                            method, path, "nope");
+        ASSERT_TRUE(wrong.has_value()) << path;
+        EXPECT_EQ(wrong->status, 401) << path;
+        EXPECT_FALSE(leaksMatrix(wrong->body, units)) << wrong->body;
+
+        const auto ok = obs::httpRequest("127.0.0.1", server.port(),
+                                         method, path, "hunter2");
+        ASSERT_TRUE(ok.has_value()) << path;
+        EXPECT_EQ(ok->status, 200) << path;
+        EXPECT_NE(ok->body.find(matrixHash(units)), std::string::npos)
+            << ok->body;
+    }
+    server.stop();
+    // Only the authorized /lease reached the scheduler.
+    EXPECT_EQ(service.withScheduler(
+                  [](Scheduler &sched) { return sched.leasesIssued(); }),
+              1u);
+}
+
+TEST(SchedServer, RefusesEmptyToken)
+{
+    const testing_util::ScratchDir scratch;
+    LocalDirStore store(scratch.path());
+    SchedServer service(testUnits(), fastOptions(), store);
+    obs::HttpServer server;
+    EXPECT_FALSE(server.start("127.0.0.1", 0, "",
+                              [&service](const obs::HttpRequest &request) {
+                                  return service.handle(request);
+                              }));
+    EXPECT_FALSE(server.running());
+}
+
+obs::HttpRequest
+completeRequest(const WorkUnit &unit, const std::string &fragment)
+{
+    obs::HttpRequest request;
+    request.method = "POST";
+    request.path = "/complete";
+    request.query = "worker=w1&hash=" + unit.hash;
+    request.body = fragment;
+    return request;
+}
+
+TEST(SchedServer, CompleteHealsPoisonedObjectFirstWinsOtherwise)
+{
+    // A torn fragment under a real unit name: resume rejects it, and
+    // the unit's real delivery must replace it. A later valid
+    // duplicate must not (first-wins for valid objects).
+    const testing_util::ScratchDir scratch;
+    LocalDirStore store(scratch.path());
+    const auto units = testUnits();
+    const std::string name = units[0].hash + ".json";
+    ASSERT_TRUE(store.put(name, "{\"schema\": \"tcsim-bench-fragment-v1\"}"));
+
+    SchedServer service(units, fastOptions(), store);
+    EXPECT_EQ(service.resumed(), 0u);
+
+    UnitTiming first_timing;
+    first_timing.wallSeconds = 1.5;
+    const std::string first =
+        renderFragment(units[0], fakeIntegers(0), first_timing);
+    const obs::HttpResponse accepted =
+        service.handle(completeRequest(units[0], first));
+    EXPECT_EQ(accepted.status, 200);
+    EXPECT_NE(accepted.body.find("accepted"), std::string::npos);
+    EXPECT_EQ(store.get(name), first);
+    EXPECT_TRUE(readFragment(store, name).has_value());
+
+    const std::string second =
+        renderFragment(units[0], fakeIntegers(0), UnitTiming{});
+    const obs::HttpResponse duplicate =
+        service.handle(completeRequest(units[0], second));
+    EXPECT_EQ(duplicate.status, 200);
+    EXPECT_NE(duplicate.body.find("duplicate"), std::string::npos);
+    EXPECT_EQ(store.get(name), first);
+
+    // A mislabeled delivery is refused and never reaches the store.
+    const obs::HttpResponse mislabeled =
+        service.handle(completeRequest(units[1], first));
+    EXPECT_EQ(mislabeled.status, 400);
+    EXPECT_FALSE(store.exists(units[1].hash + ".json"));
 }
 
 } // namespace

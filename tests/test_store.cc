@@ -18,6 +18,7 @@
 #include "bench/store_server.h"
 #include "common/json.h"
 #include "obs/http.h"
+#include "scratch_dir.h"
 
 namespace
 {
@@ -44,14 +45,8 @@ TEST(StoreName, ValidatesCharsetAndShape)
 class LocalStoreTest : public testing::Test
 {
   protected:
-    void SetUp() override
-    {
-        dir_ = testing::TempDir() + "/tcsim_store_test";
-        std::filesystem::remove_all(dir_);
-    }
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-
-    std::string dir_;
+    testing_util::ScratchDir scratch_;
+    const std::string dir_ = scratch_.path();
 };
 
 TEST_F(LocalStoreTest, PutGetExistsRemoveRoundTrip)
@@ -86,8 +81,8 @@ TEST_F(LocalStoreTest, RejectsTraversalNames)
     EXPECT_FALSE(store.put("../escape.json", "x"));
     EXPECT_FALSE(store.get("../escape.json").has_value());
     EXPECT_FALSE(store.exists("../escape.json"));
-    EXPECT_FALSE(
-        std::filesystem::exists(testing::TempDir() + "/escape.json"));
+    EXPECT_FALSE(std::filesystem::exists(
+        std::filesystem::path(dir_).parent_path() / "escape.json"));
 }
 
 TEST_F(LocalStoreTest, ListIsPrefixFilteredAndSorted)
@@ -119,14 +114,14 @@ TEST_F(LocalStoreTest, SubdirObjectsWork)
 
 TEST(OpenStore, ParsesSpecs)
 {
-    const std::string dir = testing::TempDir() + "/tcsim_openstore";
+    const testing_util::ScratchDir scratch;
+    const std::string &dir = scratch.path();
     auto local = openStore(dir);
     ASSERT_NE(local, nullptr);
     EXPECT_NE(dynamic_cast<LocalDirStore *>(local.get()), nullptr);
     EXPECT_EQ(local->describe(), dir);
     EXPECT_EQ(openStore("http://"), nullptr);
     EXPECT_EQ(openStore("http://host:notaport"), nullptr);
-    std::filesystem::remove_all(dir);
 }
 
 // ----------------------------------------------------------------------
@@ -138,24 +133,18 @@ class HttpStoreTest : public testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = testing::TempDir() + "/tcsim_http_store_test";
-        std::filesystem::remove_all(dir_);
-        backing_ = std::make_unique<LocalDirStore>(dir_);
+        backing_ = std::make_unique<LocalDirStore>(scratch_.path());
         server_ = std::make_unique<StoreServer>(*backing_);
         ASSERT_TRUE(server_->start("127.0.0.1", 0, "secret"));
     }
-    void TearDown() override
-    {
-        server_->stop();
-        std::filesystem::remove_all(dir_);
-    }
+    void TearDown() override { server_->stop(); }
 
     HttpStore client(const std::string &token = "secret")
     {
         return HttpStore("127.0.0.1", server_->port(), token);
     }
 
-    std::string dir_;
+    testing_util::ScratchDir scratch_;
     std::unique_ptr<LocalDirStore> backing_;
     std::unique_ptr<StoreServer> server_;
 };

@@ -1,20 +1,23 @@
 /**
  * @file
- * Tests for the sharded sweep engine: stable unit enumeration and
- * content hashing, the byte-identity of a sharded merge against the
- * single-process document, and the merge layer's classification of
- * missing, stale and corrupt fragments.
+ * Tests for the sweep engine: stable unit enumeration and content
+ * hashing, the byte-identity of the scheduler's fold of delivered
+ * fragments against the single-process document, and the one
+ * fragment-validity predicate (readFragment) that resume and the
+ * /complete heal path share — missing, stale, corrupt, renamed and
+ * truncated-mid-record fragments.
  */
 
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/sched.h"
+#include "bench/store.h"
 #include "bench/sweep.h"
-#include "obs/heartbeat.h"
+#include "common/json.h"
+#include "scratch_dir.h"
 #include "sim/config.h"
 
 namespace
@@ -180,24 +183,48 @@ TEST(SweepSampled, WeightedEstimateTracksFullRun)
     }
 }
 
-class SweepMergeTest : public testing::Test
+/**
+ * Deliver each unit's fragment in @p order, as pulled workers do:
+ * rendered by renderFragment, parsed back by parseFragmentBytes and
+ * folded by Scheduler::complete. Alternating worker names stand in
+ * for two workers. @return the document the scheduler renders.
+ */
+std::string
+foldThroughScheduler(const std::vector<WorkUnit> &units,
+                     const std::vector<ResultIntegers> &integers,
+                     const std::vector<std::size_t> &order)
 {
-  protected:
-    void SetUp() override
-    {
-        dir_ = testing::TempDir() + "/tcsim_sweep_test_fragments";
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
+    Scheduler sched(units, SchedOptions{});
+    double now = 0.0;
+    for (const std::size_t i : order) {
+        UnitTiming timing;
+        timing.wallSeconds = 0.125 * static_cast<double>(i + 1);
+        FragmentData fragment;
+        EXPECT_TRUE(parseFragmentBytes(
+            renderFragment(units[i], integers[i], timing), fragment));
+        EXPECT_EQ(fragment.hash, units[i].hash);
+        EXPECT_EQ(sched.complete("w" + std::to_string(i % 2),
+                                 fragment.hash, fragment.integers,
+                                 now += 1.0),
+                  Scheduler::CompleteStatus::Accepted);
     }
-    void TearDown() override { std::filesystem::remove_all(dir_); }
+    EXPECT_TRUE(sched.done());
+    return sched.renderResults();
+}
 
-    std::string dir_;
-};
-
-TEST_F(SweepMergeTest, TwoShardMergeIsByteIdentical)
+std::vector<std::size_t>
+inOrder(std::size_t count)
 {
-    // The tentpole guarantee: fragments written by independent
-    // "shards" merge into exactly the bytes the single-process path
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < count; ++i)
+        order.push_back(i);
+    return order;
+}
+
+TEST(SweepMergeTest, TwoShardMergeIsByteIdentical)
+{
+    // The tentpole guarantee: fragments delivered by independent
+    // workers fold into exactly the bytes the single-process path
     // renders — because both funnel through the one canonical
     // renderer on the same deterministic integers.
     const SweepOptions options = smallMatrix();
@@ -208,23 +235,11 @@ TEST_F(SweepMergeTest, TwoShardMergeIsByteIdentical)
         integers.push_back(integersOf(executeUnit(unit)));
     const std::string single = renderResultsDoc(units, integers);
 
-    // Shard round-robin, as `tcsim_sweep --shard i/2` does.
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        UnitTiming timing;
-        timing.wallSeconds = 0.125 * static_cast<double>(i + 1);
-        ASSERT_TRUE(writeFragment(dir_, units[i], integers[i], timing));
-    }
-
-    MergeReport report;
-    const auto merged = mergeFragments(options, dir_, report);
-    ASSERT_TRUE(merged.has_value());
-    EXPECT_TRUE(report.complete());
-    EXPECT_TRUE(report.stale.empty());
-    EXPECT_TRUE(report.duplicates.empty());
-    EXPECT_EQ(*merged, single); // byte-identical
+    EXPECT_EQ(foldThroughScheduler(units, integers, inOrder(units.size())),
+              single); // byte-identical
 }
 
-TEST_F(SweepMergeTest, SampledShardedMergeIsByteIdentical)
+TEST(SweepMergeTest, SampledShardedMergeIsByteIdentical)
 {
     // The byte-identity contract extends to sampled units: fragments
     // carry the same deterministic integers the single-process
@@ -238,23 +253,17 @@ TEST_F(SweepMergeTest, SampledShardedMergeIsByteIdentical)
     const std::string single = renderResultsDoc(units, integers);
     EXPECT_NE(single.find("\"sampled_interval\""), std::string::npos);
 
-    for (std::size_t i = 0; i < units.size(); ++i)
-        ASSERT_TRUE(writeFragment(dir_, units[i], integers[i],
-                                  UnitTiming{}));
-    MergeReport report;
-    const auto merged = mergeFragments(options, dir_, report);
-    ASSERT_TRUE(merged.has_value());
-    EXPECT_TRUE(report.complete());
-    EXPECT_EQ(*merged, single);
+    EXPECT_EQ(foldThroughScheduler(units, integers, inOrder(units.size())),
+              single);
 }
 
-TEST_F(SweepMergeTest, ServerProfileShardedMergeIsByteIdentical)
+TEST(SweepMergeTest, ServerProfileShardedMergeIsByteIdentical)
 {
     // Server-class profiles must hold the same determinism contract
-    // as the legacy suite: any shard layout (TCSIM_JOBS, --shard i/n,
-    // pulled workers) reproduces the single-process document byte for
-    // byte. Each unit is executed twice — as two independent workers
-    // would — and both the integers and the merged bytes must agree.
+    // as the legacy suite: any worker layout (TCSIM_JOBS, pulled
+    // workers) reproduces the single-process document byte for byte.
+    // Each unit is executed twice — as two independent workers would
+    // — and both the integers and the folded bytes must agree.
     SweepOptions options;
     options.benchmarks = {"server-oltp", "server-web"};
     options.configs = {sim::baselineConfig(), sim::promotionConfig(64)};
@@ -277,23 +286,16 @@ TEST_F(SweepMergeTest, ServerProfileShardedMergeIsByteIdentical)
     const std::string single = renderResultsDoc(units, integers);
 
     // Fragments land in reverse order — worker completion order must
-    // not matter to the merged bytes.
-    for (std::size_t i = units.size(); i-- > 0;)
-        ASSERT_TRUE(writeFragment(dir_, units[i], integers[i],
-                                  UnitTiming{}));
-    MergeReport report;
-    const auto merged = mergeFragments(options, dir_, report);
-    ASSERT_TRUE(merged.has_value());
-    EXPECT_TRUE(report.complete());
-    EXPECT_EQ(*merged, single);
+    // not matter to the folded bytes.
+    EXPECT_EQ(foldThroughScheduler(units, integers, {3, 2, 1, 0}), single);
 }
 
-TEST_F(SweepMergeTest, ReplayUnitsShardAndMergeByteIdentical)
+TEST(SweepMergeTest, ReplayUnitsShardAndMergeByteIdentical)
 {
     // The @replay dimension rides the same fragment pipeline: replay
     // units are deterministic (the btrace artifact is recorded from
     // the same oracle every time), their ids and hashes carry the
-    // replay marker, and a sharded merge reproduces the
+    // replay marker, and the scheduler's fold reproduces the
     // single-process document.
     SweepOptions options;
     options.benchmarks = {"compress", "server-oltp"};
@@ -327,17 +329,11 @@ TEST_F(SweepMergeTest, ReplayUnitsShardAndMergeByteIdentical)
     }
     const std::string single = renderResultsDoc(units, integers);
 
-    for (std::size_t i = 0; i < units.size(); ++i)
-        ASSERT_TRUE(writeFragment(dir_, units[i], integers[i],
-                                  UnitTiming{}));
-    MergeReport report;
-    const auto merged = mergeFragments(options, dir_, report);
-    ASSERT_TRUE(merged.has_value());
-    EXPECT_TRUE(report.complete());
-    EXPECT_EQ(*merged, single);
+    EXPECT_EQ(foldThroughScheduler(units, integers, inOrder(units.size())),
+              single);
 }
 
-TEST_F(SweepMergeTest, ExecuteUnitIsDeterministic)
+TEST(SweepMergeTest, ExecuteUnitIsDeterministic)
 {
     const std::vector<WorkUnit> units = enumerateUnits(smallMatrix());
     const ResultIntegers a = integersOf(executeUnit(units[0]));
@@ -349,135 +345,129 @@ TEST_F(SweepMergeTest, ExecuteUnitIsDeterministic)
     EXPECT_GE(a.instructions, 8000u);
 }
 
-TEST_F(SweepMergeTest, MissingFragmentsReported)
-{
-    const SweepOptions options = smallMatrix();
-    const std::vector<WorkUnit> units = enumerateUnits(options);
-    const ResultIntegers integers = integersOf(executeUnit(units[0]));
-    ASSERT_TRUE(writeFragment(dir_, units[0], integers, UnitTiming{}));
+// ---------------------------------------------------------------------
+// The fragment-validity predicate, through the scheduler's resume scan.
+// ---------------------------------------------------------------------
 
-    MergeReport report;
-    EXPECT_FALSE(mergeFragments(options, dir_, report).has_value());
-    EXPECT_FALSE(report.complete());
-    ASSERT_EQ(report.missing.size(), units.size() - 1);
-    EXPECT_EQ(report.missing[0], units[1].id);
+/** Store @p unit's fragment under its own "<hash>.json" name. */
+void
+putFragment(FragmentStore &store, const WorkUnit &unit,
+            const ResultIntegers &integers,
+            const std::string &name = "")
+{
+    ASSERT_TRUE(store.put(name.empty() ? unit.hash + ".json" : name,
+                          renderFragment(unit, integers, UnitTiming{})));
 }
 
-TEST_F(SweepMergeTest, StaleFragmentsSkippedButMergeCompletes)
+TEST(SweepMergeTest, MissingFragmentsReported)
+{
+    // One unit's fragment in the store: resume fills exactly that
+    // unit, the status document counts the rest pending, and the
+    // holes are what gets dispatched.
+    const testing_util::ScratchDir scratch;
+    LocalDirStore store(scratch.path());
+    const std::vector<WorkUnit> units = enumerateUnits(smallMatrix());
+    putFragment(store, units[0], integersOf(executeUnit(units[0])));
+
+    Scheduler sched(units, SchedOptions{});
+    EXPECT_EQ(resumeFromStore(sched, store), 1u);
+    EXPECT_FALSE(sched.done());
+    const auto status = json::parse(sched.renderStatus(0.0));
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->getUint64("completed"), 1u);
+    EXPECT_EQ(status->getUint64("pending"), units.size() - 1);
+    LeaseGrant grant;
+    ASSERT_EQ(sched.acquire("w1", 0.0, grant), AcquireStatus::Granted);
+    EXPECT_EQ(grant.hash, units[1].hash);
+}
+
+TEST(SweepMergeTest, StaleFragmentsSkippedButMergeCompletes)
 {
     // A fragment from yesterday's matrix (different warm-up, so a
-    // different content hash) must be ignored, not merged.
+    // different content hash) is a valid fragment, but not one of
+    // this matrix: resume must ignore it, not fold it.
+    const testing_util::ScratchDir scratch;
+    LocalDirStore store(scratch.path());
     SweepOptions options = smallMatrix();
     SweepOptions stale_options = options;
     stale_options.warmup = 2000;
     const WorkUnit stale_unit = enumerateUnits(stale_options)[0];
-    ASSERT_TRUE(writeFragment(dir_, stale_unit,
-                              integersOf(executeUnit(stale_unit)),
-                              UnitTiming{}));
+    putFragment(store, stale_unit, integersOf(executeUnit(stale_unit)));
+    EXPECT_TRUE(readFragment(store, stale_unit.hash + ".json").has_value());
 
     const std::vector<WorkUnit> units = enumerateUnits(options);
-    for (const WorkUnit &unit : units)
-        ASSERT_TRUE(writeFragment(dir_, unit,
-                                  integersOf(executeUnit(unit)),
-                                  UnitTiming{}));
-
-    MergeReport report;
-    const auto merged = mergeFragments(options, dir_, report);
-    ASSERT_TRUE(merged.has_value());
-    ASSERT_EQ(report.stale.size(), 1u);
-    EXPECT_EQ(report.stale[0], fragmentPath(dir_, stale_unit));
-}
-
-TEST_F(SweepMergeTest, CorruptFragmentsBlockTheMerge)
-{
-    const SweepOptions options = smallMatrix();
-    const std::vector<WorkUnit> units = enumerateUnits(options);
-    for (const WorkUnit &unit : units)
-        ASSERT_TRUE(writeFragment(dir_, unit,
-                                  integersOf(executeUnit(unit)),
-                                  UnitTiming{}));
-
-    // Garbage that still ends in .json: classified corrupt, and a
-    // corrupt file makes the merge refuse rather than guess.
-    {
-        std::ofstream out(dir_ + "/garbage.json");
-        out << "{ not json";
-    }
-    MergeReport report;
-    EXPECT_FALSE(mergeFragments(options, dir_, report).has_value());
-    ASSERT_EQ(report.corrupt.size(), 1u);
-    EXPECT_EQ(report.corrupt[0], dir_ + "/garbage.json");
-    EXPECT_TRUE(report.missing.empty());
-}
-
-TEST_F(SweepMergeTest, HeartbeatsInvisibleToMergeVisibleToScan)
-{
-    // A monitored sweep leaves heartbeat files (and possibly a torn
-    // in-flight one) in the fragments directory. The merge must treat
-    // them as if they were not there — same bytes, nothing classified
-    // corrupt — while scanFarm picks up both the workers and the
-    // completed units.
-    const SweepOptions options = smallMatrix();
-    const std::vector<WorkUnit> units = enumerateUnits(options);
-
     std::vector<ResultIntegers> integers;
-    for (const WorkUnit &unit : units)
+    for (const WorkUnit &unit : units) {
         integers.push_back(integersOf(executeUnit(unit)));
-    const std::string single = renderResultsDoc(units, integers);
-
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        UnitTiming timing;
-        timing.wallSeconds = 0.25;
-        ASSERT_TRUE(writeFragment(dir_, units[i], integers[i], timing));
-    }
-    obs::Heartbeat hb;
-    hb.worker = "shard0";
-    hb.phase = "run";
-    hb.unitId = units[0].id;
-    hb.unitsTotal = units.size();
-    ASSERT_TRUE(obs::writeHeartbeat(dir_, hb));
-    {
-        // A torn heartbeat mid-write: garbage to every reader, but
-        // still not the merge's problem.
-        std::ofstream out(dir_ + "/heartbeat-shard1.json");
-        out << "{\n  \"schema\": \"tcsim-heart";
+        putFragment(store, unit, integers.back());
     }
 
-    MergeReport report;
-    const auto merged = mergeFragments(options, dir_, report);
-    ASSERT_TRUE(merged.has_value());
-    EXPECT_TRUE(report.complete());
-    EXPECT_TRUE(report.corrupt.empty());
-    EXPECT_TRUE(report.stale.empty());
-    EXPECT_EQ(*merged, single);
-
-    const FarmScan scan = scanFarm(options, dir_);
-    EXPECT_EQ(scan.unitsTotal, units.size());
-    EXPECT_EQ(scan.completed.size(), units.size());
-    // Only the intact heartbeat parses; the torn one is skipped.
-    ASSERT_EQ(scan.workers.size(), 1u);
-    EXPECT_EQ(scan.workers[0].hb.worker, "shard0");
-    EXPECT_GE(scan.workers[0].ageSeconds, 0.0);
-    for (const CompletedUnit &unit : scan.completed)
-        EXPECT_DOUBLE_EQ(unit.wallSeconds, 0.25);
+    Scheduler sched(units, SchedOptions{});
+    EXPECT_EQ(resumeFromStore(sched, store), units.size());
+    ASSERT_TRUE(sched.done());
+    EXPECT_EQ(sched.renderResults(), renderResultsDoc(units, integers));
 }
 
-TEST_F(SweepMergeTest, RenamedFragmentIsCorruptNotTrusted)
+TEST(SweepMergeTest, CorruptFragmentsBlockTheMerge)
 {
-    // The filename stem must match the embedded hash; a renamed file
-    // cannot claim another unit's slot.
-    const SweepOptions options = smallMatrix();
-    const std::vector<WorkUnit> units = enumerateUnits(options);
-    ASSERT_TRUE(writeFragment(dir_, units[0],
-                              integersOf(executeUnit(units[0])),
-                              UnitTiming{}));
-    std::filesystem::rename(fragmentPath(dir_, units[0]),
-                            fragmentPath(dir_, units[1]));
+    // Garbage under a real unit's name and garbage under a made-up
+    // name: neither counts, so the merge cannot finish until the
+    // damaged unit is simulated again.
+    const testing_util::ScratchDir scratch;
+    LocalDirStore store(scratch.path());
+    const std::vector<WorkUnit> units = enumerateUnits(smallMatrix());
+    for (const WorkUnit &unit : units)
+        putFragment(store, unit, integersOf(executeUnit(unit)));
+    ASSERT_TRUE(store.put(units[1].hash + ".json", "{ not json",
+                          /*overwrite=*/true));
+    ASSERT_TRUE(store.put("garbage.json", "{ not json"));
+    EXPECT_FALSE(readFragment(store, units[1].hash + ".json").has_value());
+    EXPECT_FALSE(readFragment(store, "garbage.json").has_value());
 
-    MergeReport report;
-    EXPECT_FALSE(mergeFragments(options, dir_, report).has_value());
-    ASSERT_EQ(report.corrupt.size(), 1u);
-    EXPECT_EQ(report.corrupt[0], fragmentPath(dir_, units[1]));
+    Scheduler sched(units, SchedOptions{});
+    EXPECT_EQ(resumeFromStore(sched, store), units.size() - 1);
+    EXPECT_FALSE(sched.done());
+    LeaseGrant grant;
+    ASSERT_EQ(sched.acquire("w1", 0.0, grant), AcquireStatus::Granted);
+    EXPECT_EQ(grant.hash, units[1].hash);
+}
+
+TEST(SweepMergeTest, RenamedFragmentIsCorruptNotTrusted)
+{
+    // The name stem must match the embedded hash; a renamed object
+    // cannot claim another unit's slot.
+    const testing_util::ScratchDir scratch;
+    LocalDirStore store(scratch.path());
+    const std::vector<WorkUnit> units = enumerateUnits(smallMatrix());
+    putFragment(store, units[0], integersOf(executeUnit(units[0])),
+                units[1].hash + ".json");
+    EXPECT_FALSE(readFragment(store, units[1].hash + ".json").has_value());
+
+    Scheduler sched(units, SchedOptions{});
+    EXPECT_EQ(resumeFromStore(sched, store), 0u);
+}
+
+TEST(SweepMergeTest, TruncatedMidRecordFragmentIsRejected)
+{
+    // A torn upload from a dying worker can still be valid JSON: the
+    // schema and unit header survive, the result record does not.
+    const testing_util::ScratchDir scratch;
+    LocalDirStore store(scratch.path());
+    const std::vector<WorkUnit> units = enumerateUnits(smallMatrix());
+    const std::string torn =
+        "{\"schema\": \"tcsim-bench-fragment-v1\",\n"
+        " \"unit\": {\"index\": 0, \"id\": \"" + units[0].id +
+        "\", \"hash\": \"" + units[0].hash + "\"},\n"
+        " \"result\": {\"benchmark\": \"compress\", "
+        "\"config\": \"baseline\", \"instructions\": 8000}}\n";
+    ASSERT_TRUE(json::parse(torn).has_value());
+    ASSERT_TRUE(store.put(units[0].hash + ".json", torn));
+
+    FragmentData parsed;
+    EXPECT_FALSE(parseFragmentBytes(torn, parsed));
+    EXPECT_FALSE(readFragment(store, units[0].hash + ".json").has_value());
+    Scheduler sched(units, SchedOptions{});
+    EXPECT_EQ(resumeFromStore(sched, store), 0u);
 }
 
 } // namespace

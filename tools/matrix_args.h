@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared command-line parsing for the sweep matrix: every tool that
- * enumerates work units (tcsim_sweep, tcsim_sched, tcsim_monitor's
- * sweep view) must build the SAME SweepOptions from the same flags,
- * or workers and the scheduler would silently disagree on unit hashes.
+ * enumerates work units (tcsim_sweep, tcsim_sched) must build the
+ * SAME SweepOptions from the same flags, or workers and the scheduler
+ * would silently disagree on unit hashes.
  * Centralizing the flags here makes that drift impossible.
  *
  * Flags consumed:

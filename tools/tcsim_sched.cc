@@ -1,28 +1,13 @@
 /**
  * @file
- * tcsim_sched: the long-lived cluster-scale sweep scheduler.
+ * tcsim_sched: the sweep scheduler, the one multi-process way to run a
+ * sweep (run_benches.sh --sweep N starts it plus N local pull workers).
  *
- * Serves one authenticated HTTP endpoint that combines
- *
- *  - the lease protocol driven by `tcsim_sweep --pull` workers:
- *      POST /lease?worker=w     acquire a unit (work stealing: the
- *                               pool is central, idle workers always
- *                               pull the next undone unit; stragglers
- *                               are speculatively re-dispatched)
- *      POST /renew?worker=w&hash=h
- *                               extend the lease (a worker that stops
- *                               renewing forfeits after the timeout)
- *      POST /complete?worker=w&hash=h   body = fragment document
- *                               deliver a result; folded into the
- *                               streaming merge, persisted to the
- *                               backing store (first-wins), duplicate
- *                               deliveries deduped
- *      GET  /status             the tcsim-sched-status-v1 document
- *      GET  /partial            the rolling tcsim-bench-partial-v1
- *
- *  - the object-store shim (see bench/store_server.h) on the same
- *    port, so workers push heartbeats and share artifacts through
- *    one URL.
+ * Serves the scheduler's authenticated HTTP routes (bench/sched.h
+ * SchedServer): the lease protocol driven by `tcsim_sweep --pull`
+ * workers, /status and /partial, and the object-store shim on the same
+ * port, so workers pull work, push results and share artifacts
+ * through one URL.
  *
  * The scheduler exits once every unit of the matrix has a result,
  * after writing the canonical results document — rendered by the same
@@ -44,28 +29,21 @@
  *   --partial-out f       rolling partial document (rewritten live)
  *   --status-out f        status document (rewritten live + at exit)
  *   --manifest-out f      store manifest document written at exit
- *   --max-seconds sec     abort (exit 5) if not done in time (CI)
+ *   --max-seconds sec     abort (exit 5) if not done in time
  *
- * Auth: TCSIM_FARM_TOKEN (or TCSIM_STATUS_TOKEN) must be set; workers
- * present the same token.
+ * Auth: TCSIM_FARM_TOKEN must be set; workers present the same token.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "bench/sched.h"
 #include "bench/store.h"
-#include "bench/store_server.h"
 #include "bench/sweep.h"
-#include "obs/http.h"
 #include "tools/matrix_args.h"
 
 namespace
@@ -90,14 +68,6 @@ usage(const char *argv0)
     std::exit(1);
 }
 
-double
-monoSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 bool
 writeFileAtomic(const std::string &path, const std::string &bytes)
 {
@@ -110,56 +80,6 @@ writeFileAtomic(const std::string &path, const std::string &bytes)
             return false;
     }
     return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-/** The raw value of `key=` in @p query ("" when absent). */
-std::string
-queryParam(const std::string &query, const std::string &key)
-{
-    std::size_t start = 0;
-    while (start <= query.size()) {
-        const std::size_t amp = query.find('&', start);
-        const std::size_t end =
-            amp == std::string::npos ? query.size() : amp;
-        const std::string pair = query.substr(start, end - start);
-        const std::size_t eq = pair.find('=');
-        if (eq != std::string::npos && pair.substr(0, eq) == key)
-            return pair.substr(eq + 1);
-        if (amp == std::string::npos)
-            break;
-        start = amp + 1;
-    }
-    return "";
-}
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-obs::HttpResponse
-jsonReply(int status, const std::string &body)
-{
-    obs::HttpResponse resp;
-    resp.status = status;
-    resp.body = body;
-    return resp;
 }
 
 } // namespace
@@ -221,153 +141,21 @@ main(int argc, char **argv)
     const std::string token = bench::farmToken();
     if (token.empty()) {
         std::fprintf(stderr,
-                     "tcsim_sched: set TCSIM_FARM_TOKEN (or "
-                     "TCSIM_STATUS_TOKEN)\n");
+                     "tcsim_sched: set TCSIM_FARM_TOKEN\n");
         return 1;
     }
 
-    const std::vector<bench::WorkUnit> units =
-        bench::enumerateUnits(matrix.options);
-    const std::string matrix_hash = bench::matrixHash(units);
-
     bench::LocalDirStore store(fragments_dir);
-    bench::StoreServer store_server(store);
-    std::mutex sched_mutex;
-    bench::Scheduler sched(units, sched_options);
-
-    // Crash-safe resume: every valid fragment already in the store
-    // fills its unit, so a restarted scheduler dispatches the holes.
-    std::size_t resumed = 0;
-    for (const bench::StoreObject &object : store.list("")) {
-        const std::string &name = object.name;
-        if (name.size() <= 5 ||
-            name.compare(name.size() - 5, 5, ".json") != 0 ||
-            obs::isHeartbeatFilename(name)) {
-            continue;
-        }
-        const std::optional<std::string> bytes = store.get(name);
-        bench::FragmentData frag;
-        if (!bytes || !bench::parseFragmentBytes(*bytes, frag))
-            continue;
-        if (name.substr(0, name.size() - 5) != frag.hash)
-            continue;
-        if (sched.markCompleted(frag.hash, frag.integers))
-            ++resumed;
-    }
-
-    const auto handler =
-        [&](const obs::HttpRequest &request) -> obs::HttpResponse {
-        if (bench::StoreServer::routes(request))
-            return store_server.handle(request);
-
-        const double now = monoSeconds();
-        if (request.path == "/lease") {
-            if (request.method != "POST")
-                return jsonReply(405, "{\"error\": \"method\"}\n");
-            const std::string worker =
-                queryParam(request.query, "worker");
-            if (worker.empty())
-                return jsonReply(400, "{\"error\": \"worker\"}\n");
-            bench::LeaseGrant grant;
-            bench::AcquireStatus status;
-            {
-                std::lock_guard<std::mutex> lock(sched_mutex);
-                status = sched.acquire(worker, now, grant);
-            }
-            std::string body = "{\n";
-            body += "  \"schema\": \"tcsim-sched-lease-v1\",\n";
-            body += "  \"matrix_hash\": \"" + matrix_hash + "\",\n";
-            if (status == bench::AcquireStatus::Granted) {
-                body += "  \"status\": \"lease\",\n";
-                body += "  \"unit_index\": " +
-                        std::to_string(grant.unitIndex) + ",\n";
-                body += "  \"unit_id\": \"" + jsonEscape(grant.unitId) +
-                        "\",\n";
-                body += "  \"hash\": \"" + grant.hash + "\",\n";
-                body += "  \"renew_seconds\": " +
-                        std::to_string(grant.renewSeconds) + "\n";
-            } else {
-                body += std::string("  \"status\": \"") +
-                        (status == bench::AcquireStatus::Done ? "done"
-                                                              : "wait") +
-                        "\"\n";
-            }
-            body += "}\n";
-            return jsonReply(200, body);
-        }
-        if (request.path == "/renew") {
-            if (request.method != "POST")
-                return jsonReply(405, "{\"error\": \"method\"}\n");
-            const std::string worker =
-                queryParam(request.query, "worker");
-            const std::string hash = queryParam(request.query, "hash");
-            bool ok;
-            {
-                std::lock_guard<std::mutex> lock(sched_mutex);
-                ok = sched.renew(worker, hash, now);
-            }
-            return jsonReply(200, ok ? "{\"ok\": true}\n"
-                                     : "{\"ok\": false}\n");
-        }
-        if (request.path == "/complete") {
-            if (request.method != "POST")
-                return jsonReply(405, "{\"error\": \"method\"}\n");
-            const std::string worker =
-                queryParam(request.query, "worker");
-            const std::string hash = queryParam(request.query, "hash");
-            bench::FragmentData frag;
-            if (!bench::parseFragmentBytes(request.body, frag) ||
-                frag.hash != hash) {
-                // An invalid or mislabeled fragment is treated as
-                // never delivered: the unit stays dispatchable.
-                return jsonReply(400,
-                                 "{\"result\": \"invalid\"}\n");
-            }
-            bench::Scheduler::CompleteStatus status;
-            {
-                std::lock_guard<std::mutex> lock(sched_mutex);
-                status = sched.complete(worker, hash, frag.integers, now);
-            }
-            if (status == bench::Scheduler::CompleteStatus::Unknown)
-                return jsonReply(404, "{\"result\": \"unknown\"}\n");
-            // Persist for crash-safe resume. First-wins: a straggler
-            // duplicate (same content-hashed name) is a no-op here.
-            // Exception: an already-stored object that fails the
-            // shared fragment-validity predicate (e.g. a fragment a
-            // dying worker truncated mid-record into valid-but-
-            // incomplete JSON) is overwritten with the verified
-            // payload — first-wins would pin the poison forever, and
-            // --check/--merge/resume all reject what this scheduler
-            // just counted done.
-            const std::string object_name = frag.hash + ".json";
-            bool heal = false;
-            if (const std::optional<std::string> existing =
-                    store.get(object_name)) {
-                bench::FragmentData stored;
-                heal = !bench::parseFragmentBytes(*existing, stored) ||
-                       stored.hash != frag.hash;
-            }
-            store.put(object_name, request.body, heal);
-            return jsonReply(
-                200,
-                status == bench::Scheduler::CompleteStatus::Accepted
-                    ? "{\"result\": \"accepted\"}\n"
-                    : "{\"result\": \"duplicate\"}\n");
-        }
-        if (request.path == "/status") {
-            std::lock_guard<std::mutex> lock(sched_mutex);
-            return jsonReply(200, sched.renderStatus(now));
-        }
-        if (request.path == "/partial") {
-            std::lock_guard<std::mutex> lock(sched_mutex);
-            return jsonReply(200, sched.renderPartial());
-        }
-        return jsonReply(404, "{\"error\": \"not found\"}\n");
-    };
+    bench::SchedServer service(bench::enumerateUnits(matrix.options),
+                               sched_options, store);
+    const std::size_t units = service.withScheduler(
+        [](bench::Scheduler &sched) { return sched.units().size(); });
 
     obs::HttpServer server;
     if (!server.start(bind_addr, static_cast<std::uint16_t>(port), token,
-                      handler)) {
+                      [&service](const obs::HttpRequest &request) {
+                          return service.handle(request);
+                      })) {
         return 1;
     }
     if (!port_file.empty() &&
@@ -378,20 +166,19 @@ main(int argc, char **argv)
     std::fprintf(stderr,
                  "tcsim_sched: %zu units (matrix %s), %zu resumed, "
                  "serving on %s:%u\n",
-                 units.size(), matrix_hash.c_str(), resumed,
+                 units, service.matrixHash().c_str(), service.resumed(),
                  bind_addr.c_str(), static_cast<unsigned>(server.port()));
 
-    const double start = monoSeconds();
+    const double start = bench::schedClock();
     double last_docs = 0.0;
     const auto writeLiveDocs = [&](double now) {
         std::string partial, status;
-        {
-            std::lock_guard<std::mutex> lock(sched_mutex);
+        service.withScheduler([&](bench::Scheduler &sched) {
             if (!partial_out.empty())
                 partial = sched.renderPartial();
             if (!status_out.empty())
                 status = sched.renderStatus(now);
-        }
+        });
         if (!partial.empty())
             (void)writeFileAtomic(partial_out, partial);
         if (!status.empty())
@@ -400,13 +187,12 @@ main(int argc, char **argv)
 
     bool timed_out = false;
     for (;;) {
-        const double now = monoSeconds();
-        bool finished;
-        {
-            std::lock_guard<std::mutex> lock(sched_mutex);
-            sched.tick(now);
-            finished = sched.done();
-        }
+        const double now = bench::schedClock();
+        const bool finished =
+            service.withScheduler([now](bench::Scheduler &sched) {
+                sched.tick(now);
+                return sched.done();
+            });
         if (finished)
             break;
         if (max_seconds > 0.0 && now - start > max_seconds) {
@@ -427,41 +213,38 @@ main(int argc, char **argv)
     // Final documents, then shut the endpoint down. The status and
     // partial documents are rewritten one last time so post-mortem
     // tooling (validate_obs.py, CI assertions) sees the end state.
-    const double now = monoSeconds();
-    writeLiveDocs(now);
-    std::string status_doc, final_doc;
-    {
-        std::lock_guard<std::mutex> lock(sched_mutex);
-        status_doc = sched.renderStatus(now);
-        if (sched.done())
-            final_doc = sched.renderResults();
-    }
+    writeLiveDocs(bench::schedClock());
     if (!manifest_out.empty() &&
-        !writeFileAtomic(manifest_out, store_server.renderManifest(""))) {
+        !writeFileAtomic(manifest_out,
+                         service.storeServer().renderManifest(""))) {
         std::fprintf(stderr, "cannot write %s\n", manifest_out.c_str());
     }
     server.stop();
 
-    if (timed_out) {
-        std::fprintf(stderr, "tcsim_sched: --max-seconds %.1f exceeded "
-                             "(%llu/%zu units)\n",
-                     max_seconds,
-                     static_cast<unsigned long long>(
-                         sched.completedUnits()),
-                     units.size());
-        return 5;
-    }
-    if (!writeFileAtomic(out_path, final_doc)) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 3;
-    }
-    std::fprintf(stderr,
-                 "tcsim_sched: done — %zu units, %llu leases, %llu "
-                 "expired, %llu redispatched, %llu duplicates\n",
-                 units.size(),
-                 static_cast<unsigned long long>(sched.leasesIssued()),
-                 static_cast<unsigned long long>(sched.leasesExpired()),
-                 static_cast<unsigned long long>(sched.redispatches()),
-                 static_cast<unsigned long long>(sched.duplicates()));
-    return 0;
+    // The server thread is joined: the scheduler is ours alone now.
+    return service.withScheduler([&](bench::Scheduler &sched) {
+        if (timed_out) {
+            std::fprintf(stderr,
+                         "tcsim_sched: --max-seconds %.1f exceeded "
+                         "(%llu/%zu units)\n",
+                         max_seconds,
+                         static_cast<unsigned long long>(
+                             sched.completedUnits()),
+                         units);
+            return 5;
+        }
+        if (!writeFileAtomic(out_path, sched.renderResults())) {
+            std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+            return 3;
+        }
+        std::fprintf(
+            stderr,
+            "tcsim_sched: done — %zu units, %llu leases, %llu "
+            "expired, %llu redispatched, %llu duplicates\n",
+            units, static_cast<unsigned long long>(sched.leasesIssued()),
+            static_cast<unsigned long long>(sched.leasesExpired()),
+            static_cast<unsigned long long>(sched.redispatches()),
+            static_cast<unsigned long long>(sched.duplicates()));
+        return 0;
+    });
 }

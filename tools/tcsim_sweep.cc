@@ -1,55 +1,32 @@
 /**
  * @file
- * tcsim_sweep: the sharded sweep driver.
+ * tcsim_sweep: the sweep runner and pull worker.
  *
- * One binary, four modes over the same deterministically enumerated
+ * One binary, three modes over the same deterministically enumerated
  * (benchmark, configuration) work-unit matrix:
  *
  *   tcsim_sweep --list
  *       Print every work unit (index, content hash, id) plus the
  *       matrix hash, without simulating.
  *
- *   tcsim_sweep [--shard i/N | --worklist <file>] --fragments-dir <dir>
- *       Worker mode: simulate the selected units (all units when
- *       neither selector is given and no --out is set... see below)
- *       and write one atomic "<hash>.json" fragment per unit.
- *
- *   tcsim_sweep --out <file>
+ *   tcsim_sweep [--out <file>]
  *       Single-process mode: simulate the whole matrix in-process and
  *       write the canonical tcsim-bench-results-v1 document. Byte-
- *       identical to sharding the same matrix and merging.
- *
- *   tcsim_sweep --merge --fragments-dir <dir> --out <file>
- *       Combine fragments into the canonical results document.
- *       Reports stale/duplicate/corrupt fragments and fails (exit 2)
- *       listing missing units when the matrix is not fully covered.
- *
- *   tcsim_sweep --check --fragments-dir <dir> [--missing-out <file>]
- *       Like --merge but writes nothing: prints the hashes of missing
- *       units to stdout (one per line, consumed by run_benches.sh to
- *       build retry worklists); exit 0 when complete, 2 otherwise.
- *       --missing-out additionally writes those hashes to a file
- *       atomically — a ready-to-use retry worklist.
+ *       identical to a scheduled run of the same matrix.
  *
  *   tcsim_sweep --pull <url>
  *       Pulled worker mode: lease units from a tcsim_sched at
  *       http://host:port (matrix flags must match the scheduler's —
  *       the lease handshake verifies the matrix hash), execute each
- *       under a renewed lease, and POST the fragment back. Fragments,
- *       heartbeats and (with TCSIM_CACHE_STORE) artifacts all flow
- *       through the scheduler's combined endpoint, so a pulled worker
- *       needs no shared filesystem. Requires TCSIM_FARM_TOKEN (or
- *       TCSIM_STATUS_TOKEN).
+ *       under a renewed lease, and POST the fragment back. Fragments
+ *       and (with TCSIM_CACHE_STORE) artifacts flow through the
+ *       scheduler's combined endpoint, so a pulled worker needs no
+ *       shared filesystem. Requires TCSIM_FARM_TOKEN. run_benches.sh
+ *       --sweep N starts a scheduler plus N of these.
  *
- *   tcsim_sweep --status --fragments-dir <dir>
- *       One-shot farm snapshot: scan worker heartbeats and fragments,
- *       print the monitor dashboard to stdout and (with --status-out)
- *       write a tcsim-farm-status-v1 document. For a continuously
- *       refreshing view use tcsim_monitor.
- *
- * Matrix options (must match between workers and the merger; parsed
- * by the shared tools/matrix_args.h, so tcsim_sweep and tcsim_sched
- * cannot drift):
+ * Matrix options (must match between workers and the scheduler;
+ * parsed by the shared tools/matrix_args.h, so tcsim_sweep and
+ * tcsim_sched cannot drift):
  *   --benchmarks a,b,c   subset of the suite (default: all)
  *   --configs x,y        preset names (default: icache, baseline,
  *                        promotion-t64, packing-unregulated,
@@ -90,33 +67,16 @@
  *                        the base rate, so a relative bound diverges
  *                        at long budgets where the rate is smallest)
  *
- * Telemetry:
- *   --heartbeat <sec>    heartbeat interval for worker modes (default
- *                        2 seconds; 0 disables). Workers write an
- *                        atomic "heartbeat-<worker>.json" next to
- *                        their fragments; the merge layer ignores it.
- *   --status-out <file>  with --status: also write the
- *                        tcsim-farm-status-v1 snapshot JSON
- *
  * Artifact cache:
  *   --cache-dir <dir>    content-addressed cache for program images
  *                        and warmed predictor checkpoints (also via
  *                        TCSIM_CACHE_DIR)
  *   --no-cache           disable the cache even if the env var is set
  *
- * Storage:
- *   --store <spec>       route --merge/--check/--status through a
- *                        FragmentStore spec instead of a local
- *                        directory: "http://host:port" reads the
- *                        object-store shim (requires the farm token),
- *                        anything else is a directory. --fragments-dir
- *                        remains the local-directory shorthand.
- *
  * Diagnostics / testing:
  *   --timing-out <file>  non-canonical timing+cache-stats JSON
  *                        (tcsim-bench-timing-v1)
- *   --die-after <k>      worker raises SIGKILL after k units complete
- *                        (crash-recovery testing)
+ *   --worker <name>      pulled worker's name (default pid<N>)
  *   --die-mid-unit <k>   pulled worker raises SIGKILL right after
  *                        acquiring its k-th lease, BEFORE executing —
  *                        the lease is left dangling, exercising lease
@@ -132,7 +92,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <fstream>
 #include <mutex>
 #include <optional>
@@ -146,7 +105,6 @@
 #include "bench/store.h"
 #include "bench/sweep.h"
 #include "common/json.h"
-#include "obs/heartbeat.h"
 #include "obs/http.h"
 #include "tools/matrix_args.h"
 
@@ -159,18 +117,14 @@ using namespace tcsim;
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--list | --shard i/N | --worklist f | "
-                 "--pull url | --merge | --check | --status]\n"
-                 "  [--fragments-dir d] [--store spec] [--out f] "
+                 "usage: %s [--list | --pull url] [--out f] "
                  "[--benchmarks a,b] [--configs x,y]\n"
                  "  [--insts n] [--insts-for sel=n] [--warmup n] "
                  "[--cache-dir d] [--no-cache]\n"
                  "  [--sampled-interval n --sampled-max-k k] [--replay]\n"
                  "  [--error-out f] [--error-tolerance f] "
                  "[--mispredict-tolerance f]\n"
-                 "  [--heartbeat sec] [--status-out f] "
-                 "[--missing-out f] [--worker name]\n"
-                 "  [--timing-out f] [--die-after k] "
+                 "  [--timing-out f] [--worker name] "
                  "[--die-mid-unit k] [--inject-slow-ms n]\n",
                  argv0);
     std::exit(1);
@@ -192,19 +146,6 @@ writeFileAtomic(const std::string &path, const std::string &bytes)
             return false;
     }
     return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-void
-printReport(const bench::MergeReport &report)
-{
-    for (const std::string &file : report.stale)
-        std::fprintf(stderr, "stale fragment: %s\n", file.c_str());
-    for (const std::string &file : report.duplicates)
-        std::fprintf(stderr, "duplicate fragment: %s\n", file.c_str());
-    for (const std::string &file : report.corrupt)
-        std::fprintf(stderr, "corrupt fragment: %s\n", file.c_str());
-    for (const std::string &id : report.missing)
-        std::fprintf(stderr, "missing unit: %s\n", id.c_str());
 }
 
 struct TimedUnit
@@ -267,15 +208,14 @@ schedRequest(const std::string &host, std::uint16_t port,
 
 /**
  * Pulled worker: lease units from a tcsim_sched until it says done.
- * Everything flows over the scheduler's combined endpoint — leases,
- * fragments (POST /complete) and heartbeats (PUT through the store
- * shim with overwrite, since heartbeats are rewritten by design).
+ * Leases and fragments (POST /complete) both flow over the
+ * scheduler's endpoint.
  */
 int
 runPullWorker(const std::string &url,
               const std::vector<bench::WorkUnit> &units,
-              const std::string &worker, double heartbeat_seconds,
-              long die_mid_unit, long inject_slow_ms)
+              const std::string &worker, long die_mid_unit,
+              long inject_slow_ms)
 {
     std::string host;
     std::uint16_t port = 0;
@@ -285,19 +225,10 @@ runPullWorker(const std::string &url,
     }
     const std::string token = bench::farmToken();
     if (token.empty()) {
-        std::fprintf(stderr, "--pull needs TCSIM_FARM_TOKEN (or "
-                             "TCSIM_STATUS_TOKEN)\n");
+        std::fprintf(stderr, "--pull needs TCSIM_FARM_TOKEN\n");
         return 1;
     }
     const std::string matrix_hash = bench::matrixHash(units);
-
-    bench::HttpStore store(host, port, token);
-    obs::HeartbeatEmitter heart(
-        [&store, worker](const obs::Heartbeat &hb) {
-            store.put("heartbeat-" + worker + ".json",
-                      obs::renderHeartbeat(hb), /*overwrite=*/true);
-        },
-        worker, heartbeat_seconds, units.size());
 
     using Clock = std::chrono::steady_clock;
     long leased = 0;
@@ -382,7 +313,6 @@ runPullWorker(const std::string &url,
 
         std::fprintf(stderr, "worker %s: leased %s\n", worker.c_str(),
                      unit->id.c_str());
-        heart.beginUnit(unit->id, unit->hash);
 
         // Renew from a side thread for the whole execution, so a slow
         // (or deliberately slowed) unit keeps its lease and becomes a
@@ -446,10 +376,7 @@ runPullWorker(const std::string &url,
                          delivered->status);
             return 1;
         }
-        heart.completeUnit(n.instructions, after.hits - before.hits,
-                           after.misses - before.misses);
     }
-    heart.finish();
     std::fprintf(stderr, "worker %s: scheduler reports done\n",
                  worker.c_str());
     return 0;
@@ -460,15 +387,11 @@ runPullWorker(const std::string &url,
 int
 main(int argc, char **argv)
 {
-    bool list = false, merge = false, check = false, status = false;
-    int shard_index = -1, shard_count = 0;
-    std::string worklist_path, fragments_dir, out_path, timing_out;
-    std::string error_out, status_out, missing_out, store_spec;
-    std::string pull_url, worker_name;
+    bool list = false;
+    std::string out_path, timing_out, error_out, pull_url, worker_name;
     double error_tolerance = 0.05;
     double mispredict_tolerance = 0.08;
-    double heartbeat_seconds = 2.0;
-    long die_after = -1, die_mid_unit = -1, inject_slow_ms = 0;
+    long die_mid_unit = -1, inject_slow_ms = 0;
     bool no_cache = false;
     tools::MatrixArgs matrix;
 
@@ -483,36 +406,10 @@ main(int argc, char **argv)
             continue;
         } else if (arg == "--list") {
             list = true;
-        } else if (arg == "--merge") {
-            merge = true;
-        } else if (arg == "--check") {
-            check = true;
-        } else if (arg == "--status") {
-            status = true;
-        } else if (arg == "--status-out") {
-            status_out = next();
-        } else if (arg == "--missing-out") {
-            missing_out = next();
-        } else if (arg == "--heartbeat") {
-            heartbeat_seconds = std::strtod(next(), nullptr);
-        } else if (arg == "--shard") {
-            if (std::sscanf(next(), "%d/%d", &shard_index,
-                            &shard_count) != 2 ||
-                shard_count <= 0 || shard_index < 0 ||
-                shard_index >= shard_count) {
-                std::fprintf(stderr, "bad --shard (want i/N)\n");
-                return 1;
-            }
-        } else if (arg == "--worklist") {
-            worklist_path = next();
         } else if (arg == "--pull") {
             pull_url = next();
         } else if (arg == "--worker") {
             worker_name = next();
-        } else if (arg == "--fragments-dir") {
-            fragments_dir = next();
-        } else if (arg == "--store") {
-            store_spec = next();
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--error-out") {
@@ -527,8 +424,6 @@ main(int argc, char **argv)
             no_cache = true;
         } else if (arg == "--timing-out") {
             timing_out = next();
-        } else if (arg == "--die-after") {
-            die_after = std::strtol(next(), nullptr, 10);
         } else if (arg == "--die-mid-unit") {
             die_mid_unit = std::strtol(next(), nullptr, 10);
         } else if (arg == "--inject-slow-ms") {
@@ -557,8 +452,7 @@ main(int argc, char **argv)
     if (!pull_url.empty()) {
         if (worker_name.empty())
             worker_name = "pid" + std::to_string(getpid());
-        return runPullWorker(pull_url, units, worker_name,
-                             heartbeat_seconds, die_mid_unit,
+        return runPullWorker(pull_url, units, worker_name, die_mid_unit,
                              inject_slow_ms);
     }
 
@@ -568,89 +462,6 @@ main(int argc, char **argv)
         for (const bench::WorkUnit &unit : units)
             std::printf("%4u  %s  %s\n", unit.index, unit.hash.c_str(),
                         unit.id.c_str());
-        return 0;
-    }
-
-    // Reader modes (--merge/--check/--status) accept either a local
-    // --fragments-dir or any --store spec (http://host:port reads the
-    // object-store shim).
-    std::unique_ptr<bench::FragmentStore> read_store;
-    const auto openReadStore = [&](const char *mode) -> bool {
-        if (!store_spec.empty())
-            read_store = bench::openStore(store_spec);
-        else if (!fragments_dir.empty())
-            read_store =
-                std::make_unique<bench::LocalDirStore>(fragments_dir);
-        else
-            std::fprintf(stderr,
-                         "--%s needs --fragments-dir or --store\n",
-                         mode);
-        return read_store != nullptr;
-    };
-
-    if (status) {
-        if (!openReadStore("status"))
-            return 1;
-        const bench::FarmScan scan =
-            bench::scanFarm(options, *read_store);
-        std::vector<double> walls;
-        for (const bench::CompletedUnit &unit : scan.completed)
-            walls.push_back(unit.wallSeconds);
-        const double now_mono = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now()
-                                        .time_since_epoch())
-                                    .count();
-        const obs::FarmStatus farm = obs::aggregateFarm(
-            scan.workers, walls, scan.unitsTotal, scan.completed.size(),
-            obs::FarmParams{}, nullptr, now_mono);
-        std::fputs(obs::renderFarmDashboard(farm).c_str(), stdout);
-        if (!status_out.empty()) {
-            const std::string doc = obs::renderFarmStatus(
-                farm, static_cast<std::int64_t>(std::time(nullptr)));
-            if (!writeFileAtomic(status_out, doc)) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             status_out.c_str());
-                return 3;
-            }
-        }
-        return 0;
-    }
-
-    if (merge || check) {
-        if (!openReadStore(merge ? "merge" : "check"))
-            return 1;
-        bench::MergeReport report;
-        const std::optional<std::string> doc =
-            bench::mergeFragments(options, *read_store, report);
-        printReport(report);
-        if (check) {
-            // Missing hashes: the launcher's retry worklist, on
-            // stdout and (with --missing-out) as a file.
-            std::string worklist;
-            for (const bench::WorkUnit &unit : units) {
-                for (const std::string &id : report.missing) {
-                    if (id == unit.id) {
-                        std::printf("%s\n", unit.hash.c_str());
-                        worklist += unit.hash + "\n";
-                    }
-                }
-            }
-            if (!missing_out.empty() &&
-                !writeFileAtomic(missing_out, worklist)) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             missing_out.c_str());
-                return 3;
-            }
-            return report.complete() ? 0 : 2;
-        }
-        if (!doc)
-            return 2;
-        if (out_path.empty())
-            out_path = "-";
-        if (!writeFileAtomic(out_path, *doc)) {
-            std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-            return 3;
-        }
         return 0;
     }
 
@@ -675,112 +486,24 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Worker / single-process execution modes.
-    std::vector<const bench::WorkUnit *> selected;
-    if (shard_count > 0) {
-        for (const bench::WorkUnit &unit : units) {
-            if (unit.index % static_cast<unsigned>(shard_count) ==
-                static_cast<unsigned>(shard_index)) {
-                selected.push_back(&unit);
-            }
-        }
-    } else if (!worklist_path.empty()) {
-        std::ifstream in(worklist_path);
-        if (!in) {
-            std::fprintf(stderr, "cannot read %s\n",
-                         worklist_path.c_str());
-            return 1;
-        }
-        std::string line;
-        while (std::getline(in, line)) {
-            while (!line.empty() &&
-                   (line.back() == '\r' || line.back() == ' '))
-                line.pop_back();
-            if (line.empty() || line[0] == '#')
-                continue;
-            const bench::WorkUnit *found = nullptr;
-            for (const bench::WorkUnit &unit : units) {
-                if (unit.hash == line || unit.id == line) {
-                    found = &unit;
-                    break;
-                }
-            }
-            if (found == nullptr) {
-                std::fprintf(stderr,
-                             "worklist entry '%s' is not in the matrix\n",
-                             line.c_str());
-                return 1;
-            }
-            selected.push_back(found);
-        }
-    } else {
-        for (const bench::WorkUnit &unit : units)
-            selected.push_back(&unit);
-    }
-
-    const bool sharded = shard_count > 0 || !worklist_path.empty();
-    if (sharded && fragments_dir.empty()) {
-        std::fprintf(stderr, "worker modes need --fragments-dir\n");
-        return 1;
-    }
-
-    // Heartbeats go next to the fragments, so they exist exactly when
-    // another process could be watching the directory.
-    std::string worker_label;
-    if (shard_count > 0)
-        worker_label = "shard" + std::to_string(shard_index);
-    else
-        worker_label = "pid" + std::to_string(getpid());
-    obs::HeartbeatEmitter heart(fragments_dir, worker_label,
-                                heartbeat_seconds, selected.size());
-
+    // Single-process mode: the whole matrix, in enumeration order.
     using Clock = std::chrono::steady_clock;
     const Clock::time_point run_start = Clock::now();
     std::vector<bench::ResultIntegers> integers;
     std::vector<TimedUnit> timed;
-    long completed = 0;
-    for (const bench::WorkUnit *unit : selected) {
-        std::fprintf(stderr, "[%ld/%zu] %s\n", completed + 1,
-                     selected.size(), unit->id.c_str());
-        heart.beginUnit(unit->id, unit->hash);
-        const bench::ArtifactCacheStats before =
-            bench::ArtifactCache::process().stats();
+    for (const bench::WorkUnit &unit : units) {
+        std::fprintf(stderr, "[%zu/%zu] %s\n", timed.size() + 1,
+                     units.size(), unit.id.c_str());
         const Clock::time_point start = Clock::now();
-        const bench::ResultIntegers n =
-            bench::executeUnitIntegers(*unit);
-        const double seconds =
-            std::chrono::duration<double>(Clock::now() - start).count();
-        const bench::ArtifactCacheStats after =
-            bench::ArtifactCache::process().stats();
-        if (!fragments_dir.empty()) {
-            bench::UnitTiming timing;
-            timing.wallSeconds = seconds;
-            timing.cacheHits = after.hits - before.hits;
-            timing.cacheMisses = after.misses - before.misses;
-            if (!bench::writeFragment(fragments_dir, *unit, n, timing)) {
-                std::fprintf(stderr, "cannot write fragment for %s\n",
-                             unit->id.c_str());
-                return 3;
-            }
-        }
-        integers.push_back(n);
-        timed.push_back({unit, seconds});
-        ++completed;
-        heart.completeUnit(n.instructions, after.hits - before.hits,
-                           after.misses - before.misses);
-        if (die_after >= 0 && completed >= die_after) {
-            // Crash-recovery testing: die the hard way, mid-sweep,
-            // with no destructors or atexit handlers.
-            std::fprintf(stderr, "--die-after %ld: raising SIGKILL\n",
-                         die_after);
-            raise(SIGKILL);
-        }
+        integers.push_back(bench::executeUnitIntegers(unit));
+        timed.push_back(
+            {&unit,
+             std::chrono::duration<double>(Clock::now() - start).count()});
     }
-    heart.finish();
     const double total_seconds =
         std::chrono::duration<double>(Clock::now() - run_start).count();
 
-    if (!sharded && !out_path.empty()) {
+    if (!out_path.empty()) {
         const std::string doc = bench::renderResultsDoc(units, integers);
         if (!writeFileAtomic(out_path, doc)) {
             std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -793,9 +516,9 @@ main(int argc, char **argv)
     const bench::ArtifactCacheStats cache =
         bench::ArtifactCache::process().stats();
     std::fprintf(stderr,
-                 "done: %ld units in %.2fs (cache: %llu hits, %llu "
+                 "done: %zu units in %.2fs (cache: %llu hits, %llu "
                  "misses, %llu stores, %llu rejected)\n",
-                 completed, total_seconds,
+                 timed.size(), total_seconds,
                  static_cast<unsigned long long>(cache.hits),
                  static_cast<unsigned long long>(cache.misses),
                  static_cast<unsigned long long>(cache.stores),

@@ -11,9 +11,10 @@ Checks any combination of:
   --bbv PATH           tcsim-bbv-v1 basic-block-vector profile
   --simpoints PATH     tcsim-simpoints-v1 representative-region plan
   --error-report PATH  tcsim-sampling-error-v1 sampled-vs-full report
-  --heartbeat PATH     tcsim-heartbeat-v1 sweep-worker heartbeat
-  --farm-status PATH   tcsim-farm-status-v1 monitor snapshot
   --regression PATH    tcsim-regression-v1 perf-gate verdict
+  --sched-status PATH  tcsim-sched-status-v1 scheduler status
+  --store-manifest PATH tcsim-store-manifest-v1 object-store listing
+  --partial PATH       tcsim-bench-partial-v1 rolling sweep results
   --btrace PATH        tcsim-btrace-v1 binary branch/fetch trace
 
 Exits 0 when every named file validates, 1 otherwise.
@@ -421,92 +422,6 @@ def validate_error_report(path):
     return True
 
 
-HEARTBEAT_KEYS = {
-    "schema": str, "worker": str, "pid": int, "seq": int, "phase": str,
-    "unit_id": str, "unit_hash": str, "start_mono": (int, float),
-    "now_mono": (int, float), "unit_start_mono": (int, float),
-    "units_done": int, "units_total": int, "retired_insts": int,
-    "cache_hits": int, "cache_misses": int,
-}
-
-
-def validate_heartbeat(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            return fail(path, f"invalid JSON: {err}")
-    if doc.get("schema") != "tcsim-heartbeat-v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    if set(doc) != set(HEARTBEAT_KEYS):
-        diff = set(HEARTBEAT_KEYS).symmetric_difference(doc)
-        return fail(path, f"keys differ: {sorted(diff)}")
-    for key, kind in HEARTBEAT_KEYS.items():
-        if not isinstance(doc[key], kind):
-            return fail(path, f"{key}={doc[key]!r} not {kind}")
-    if doc["phase"] not in ("idle", "run", "done"):
-        return fail(path, f"bad phase {doc['phase']!r}")
-    if doc["phase"] == "run" and not doc["unit_id"]:
-        return fail(path, "phase run with empty unit_id")
-    if doc["phase"] != "run" and doc["unit_id"]:
-        return fail(path, f"phase {doc['phase']} with a unit_id")
-    if doc["units_done"] > doc["units_total"]:
-        return fail(path, "units_done > units_total")
-    if doc["now_mono"] < doc["start_mono"]:
-        return fail(path, "now_mono before start_mono")
-    print(f"validate_obs: {path}: OK (worker {doc['worker']}, "
-          f"phase {doc['phase']})")
-    return True
-
-
-FARM_WORKER_KEYS = {
-    "worker": str, "pid": int, "phase": str, "unit_id": str,
-    "units_done": int, "units_total": int, "retired_insts": int,
-    "cache_hits": int, "cache_misses": int, "sim_mips": (int, float),
-    "age_seconds": (int, float), "current_unit_seconds": (int, float),
-    "stale": bool, "straggler": bool,
-}
-
-
-def validate_farm_status(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            return fail(path, f"invalid JSON: {err}")
-    if doc.get("schema") != "tcsim-farm-status-v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    for key in ("generated_unix", "units_total", "units_done",
-                "units_running", "workers_stale",
-                "throughput_units_per_sec", "eta_seconds",
-                "median_unit_seconds", "straggler_threshold_seconds",
-                "stragglers", "workers"):
-        if key not in doc:
-            return fail(path, f"missing {key}")
-    if doc["units_done"] > doc["units_total"]:
-        return fail(path, "units_done > units_total")
-    if not isinstance(doc["stragglers"], list):
-        return fail(path, "stragglers not an array")
-    workers = doc["workers"]
-    if not isinstance(workers, list):
-        return fail(path, "workers not an array")
-    stale = 0
-    for i, worker in enumerate(workers):
-        if set(worker) != set(FARM_WORKER_KEYS):
-            diff = set(FARM_WORKER_KEYS).symmetric_difference(worker)
-            return fail(path, f"worker {i}: keys differ: {sorted(diff)}")
-        for key, kind in FARM_WORKER_KEYS.items():
-            if not isinstance(worker[key], kind):
-                return fail(path, f"worker {i}: {key}={worker[key]!r}")
-        stale += worker["stale"]
-    if stale != doc["workers_stale"]:
-        return fail(path, f"workers_stale {doc['workers_stale']} != "
-                          f"{stale} stale workers")
-    print(f"validate_obs: {path}: OK ({doc['units_done']}/"
-          f"{doc['units_total']} units, {len(workers)} workers)")
-    return True
-
-
 SCHED_WORKER_KEYS = {"worker": str, "active_leases": int,
                      "completed": int}
 
@@ -736,8 +651,6 @@ def main():
     parser.add_argument("--bbv", action="append", default=[])
     parser.add_argument("--simpoints", action="append", default=[])
     parser.add_argument("--error-report", action="append", default=[])
-    parser.add_argument("--heartbeat", action="append", default=[])
-    parser.add_argument("--farm-status", action="append", default=[])
     parser.add_argument("--regression", action="append", default=[])
     parser.add_argument("--sched-status", action="append", default=[])
     parser.add_argument("--store-manifest", action="append", default=[])
@@ -746,8 +659,8 @@ def main():
     args = parser.parse_args()
     if not (args.trace_jsonl or args.chrome or args.intervals
             or args.fragment or args.results or args.bbv
-            or args.simpoints or args.error_report or args.heartbeat
-            or args.farm_status or args.regression or args.sched_status
+            or args.simpoints or args.error_report or args.regression
+            or args.sched_status
             or args.store_manifest or args.partial or args.btrace):
         parser.error("nothing to validate")
     ok = True
@@ -767,10 +680,6 @@ def main():
         ok &= validate_simpoints(path)
     for path in args.error_report:
         ok &= validate_error_report(path)
-    for path in args.heartbeat:
-        ok &= validate_heartbeat(path)
-    for path in args.farm_status:
-        ok &= validate_farm_status(path)
     for path in args.regression:
         ok &= validate_regression(path)
     for path in args.sched_status:
