@@ -340,6 +340,38 @@ BENCHMARK(BM_StoreViolationWindow)
     ->Unit(benchmark::kMillisecond);
 
 void
+BM_BlockedLoadWindow(benchmark::State &state)
+{
+    // Per-attempt cost of scheduling loads that conservative
+    // disambiguation blocks behind unknown-address stores (the default
+    // policy, which BM_StoreViolationWindow bypasses). A full window
+    // holds many such loads, each rotating through the ready queue
+    // every cycle. With cached verdicts a re-attempt scans only the
+    // store events since the last one, so the time per retired
+    // instruction should grow well under 2x from 64- to 1024-entry
+    // windows. compress fills its window only once the front end is
+    // warm, so a functional warm-up skips the cold start; items count
+    // only the detailed instructions.
+    constexpr std::uint64_t kSkip = 300000;
+    const sim::ProcessorConfig config = windowConfig(
+        static_cast<std::uint32_t>(state.range(0)), false);
+    std::int64_t retired = 0;
+    for (auto _ : state) {
+        sim::Processor proc(config, compressProgram());
+        proc.functionalWarmup(kSkip);
+        proc.run(kSkip + 24000);
+        benchmark::DoNotOptimize(proc.retiredInsts());
+        retired += static_cast<std::int64_t>(proc.retiredInsts() - kSkip);
+    }
+    state.SetItemsProcessed(retired);
+}
+BENCHMARK(BM_BlockedLoadWindow)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
+void
 BM_FaultRecoveryWindow(benchmark::State &state)
 {
     // Per-event cost of promoted-branch fault recovery (checkpoint

@@ -27,6 +27,22 @@ struct NodeTableParams
     std::uint32_t entriesPerUnit = 64;
 };
 
+/**
+ * One ready-queue slot. Besides the instruction it carries the memory
+ * scheduler's cached verdict for a load that disambiguation blocked:
+ * the older store that decided "blocked" and the store-event count at
+ * which the verdict was last known to hold (see
+ * Processor::tryScheduleMemory). The verdict lives here rather than in
+ * the DynInst so the 32K-slot instruction ring stays small.
+ */
+struct ReadyEntry
+{
+    InstSeqNum seq = kInvalidSeqNum;
+    /** Store that blocked the load; kInvalidSeqNum = no verdict yet. */
+    InstSeqNum blockedBy = kInvalidSeqNum;
+    std::uint64_t checkedAt = 0;
+};
+
 /** Occupancy tracking plus per-unit ready queues. */
 class NodeTables
 {
@@ -78,11 +94,11 @@ class NodeTables
     void
     markReady(std::uint8_t unit, InstSeqNum seq)
     {
-        readyQueues_[unit].push_back(seq);
+        readyQueues_[unit].push_back(ReadyEntry{seq});
     }
 
     /** @return the ready queue for @p unit (oldest first). */
-    std::deque<InstSeqNum> &readyQueue(std::uint8_t unit)
+    std::deque<ReadyEntry> &readyQueue(std::uint8_t unit)
     {
         return readyQueues_[unit];
     }
@@ -105,7 +121,7 @@ class NodeTables
   private:
     NodeTableParams params_;
     std::vector<std::uint32_t> occupancy_;
-    std::vector<std::deque<InstSeqNum>> readyQueues_;
+    std::vector<std::deque<ReadyEntry>> readyQueues_;
     std::uint32_t allocNext_ = 0;
     std::uint32_t totalOccupied_ = 0;
 };

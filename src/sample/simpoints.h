@@ -68,7 +68,7 @@ constexpr std::uint64_t kSimpointSeed = 0x51a9'90b7'7ace'cafeULL;
  * into sampled work-unit hashes and predictor-checkpoint keys —
  * bumping it invalidates cached sampled results and checkpoints.
  */
-constexpr std::uint32_t kSampledWarmingVersion = 1;
+constexpr std::uint32_t kSampledWarmingVersion = 2;
 
 /**
  * Profile @p total_insts instructions of @p program functionally,

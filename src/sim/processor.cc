@@ -90,6 +90,7 @@ Processor::recordMemDepViolation(Addr load_pc)
     if (counter < 3)
         ++counter;
     ++memOrderViolations_;
+    invalidateBlockedVerdicts(); // Speculative's bypass test may flip
 }
 
 void
@@ -331,20 +332,28 @@ Processor::youngestMatchingStoreBefore(const DynInst &load) const
 }
 
 bool
-Processor::loadMayProceed(const DynInst &load) const
+Processor::loadMayProceed(const DynInst &load, InstSeqNum &blocked_by) const
 {
     // The reference scan walks older stores youngest-first and acts on
     // the first *event*: a matching known-address store (wait if its
     // data is not ready, else forward and stop) or a blocking
     // unknown-address store (policy-dependent). Reproduce that by
-    // finding each candidate event's seq and comparing.
+    // finding each candidate event's seq and comparing. A "blocked"
+    // verdict names the store that decided it in @p blocked_by.
     const DynInst *match = youngestMatchingStoreBefore(load);
 
-    // Youngest older unknown-address store that blocks under the
-    // active disambiguation policy.
+    // Youngest older visible unknown-address store that blocks under
+    // the active policy. Conservative waits on any. Speculative lets
+    // an active load with no conflict history bypass them all; an
+    // inactively issued load stays conservative (a salvaged stale
+    // value would bypass the violation check). Perfect "knows" the
+    // eventual addresses and waits only on stores that will alias.
+    const Disambiguation policy = config_.disambiguation;
+    const bool bypass_unknown = policy == Disambiguation::Speculative &&
+                                load.active &&
+                                !memDepPredictsConflict(load.pc);
     const DynInst *blocker = nullptr;
-    if (!unknownStores_.empty() &&
-        config_.disambiguation != Disambiguation::Speculative) {
+    if (!bypass_unknown) {
         for (auto it = std::lower_bound(unknownStores_.begin(),
                                         unknownStores_.end(), load.seq);
              it != unknownStores_.begin();) {
@@ -355,41 +364,66 @@ Processor::loadMayProceed(const DynInst &load) const
                 continue;
             if (!store->active && store->fetchGroup != load.fetchGroup)
                 continue;
-            if (config_.disambiguation == Disambiguation::Perfect &&
+            if (policy == Disambiguation::Perfect &&
                 (store->oracleMemAddr == kInvalidAddr ||
-                 store->oracleMemAddr != load.memAddr)) {
-                continue; // perfect model: known non-aliasing
-            }
+                 store->oracleMemAddr != load.memAddr))
+                continue; // known non-aliasing
             blocker = store;
             break;
-        }
-    } else if (!unknownStores_.empty()) {
-        // Speculative: bypass unknown stores entirely unless the load
-        // must stay conservative (inactive issue, or conflict
-        // history) — then any visible unknown store blocks.
-        if (!load.active || memDepPredictsConflict(load.pc)) {
-            for (auto it = std::lower_bound(unknownStores_.begin(),
-                                            unknownStores_.end(), load.seq);
-                 it != unknownStores_.begin();) {
-                --it;
-                const DynInst *store = instFor(*it);
-                TCSIM_ASSERT(store != nullptr, "stale unknown-store entry");
-                if (store->discarded)
-                    continue;
-                if (!store->active && store->fetchGroup != load.fetchGroup)
-                    continue;
-                blocker = store;
-                break;
-            }
         }
     }
 
     if (blocker != nullptr &&
         (match == nullptr || blocker->seq > match->seq)) {
-        return false; // the blocking unknown store is the first event
+        blocked_by = blocker->seq; // the blocking unknown store is first
+        return false;
     }
-    if (match != nullptr && !match->executed)
-        return false; // matching store, data not yet ready
+    if (match != nullptr && !match->executed) {
+        blocked_by = match->seq; // matching store, data not yet ready
+        return false;
+    }
+    return true;
+}
+
+// ----------------------------------------------------------------------
+// Cached blocked-load verdicts.
+//
+// A blocked verdict is decided by one store B (blocked_by above). Every
+// store between B and the load was a non-event for it, and stays one
+// until it changes state, so the verdict can only flip on a store event
+// with seq in [B, load): address resolution, execution, or discard.
+// Salvage activation and memory-dependence counter bumps change global
+// inputs and invalidate every verdict. Squash and retire cannot flip
+// one: B retires only after executing, and squashing B squashes the
+// load too.
+// ----------------------------------------------------------------------
+
+void
+Processor::logStoreEvent(InstSeqNum seq)
+{
+    storeEventLog_[storeEvents_ & (kStoreEventLogSize - 1)] = seq;
+    ++storeEvents_;
+}
+
+void
+Processor::invalidateBlockedVerdicts()
+{
+    storeEvents_ += kStoreEventLogSize;
+}
+
+bool
+Processor::blockedVerdictHolds(const DynInst &load,
+                               const core::ReadyEntry &entry) const
+{
+    if (entry.blockedBy == kInvalidSeqNum ||
+        storeEvents_ - entry.checkedAt >= kStoreEventLogSize)
+        return false; // no verdict, or the log wrapped since
+    for (std::uint64_t i = entry.checkedAt; i < storeEvents_; ++i) {
+        const InstSeqNum seq =
+            storeEventLog_[i & (kStoreEventLogSize - 1)];
+        if (seq >= entry.blockedBy && seq < load.seq)
+            return false;
+    }
     return true;
 }
 
@@ -860,7 +894,7 @@ Processor::loadValueFor(DynInst &load, bool &forwarded)
 }
 
 bool
-Processor::tryScheduleMemory(DynInst &inst)
+Processor::tryScheduleMemory(DynInst &inst, core::ReadyEntry &entry)
 {
     if (inst.isStore()) {
         inst.memAddr =
@@ -873,6 +907,7 @@ Processor::tryScheduleMemory(DynInst &inst)
         // this and never re-disambiguates).
         unknownStoreResolved(inst.seq);
         addrIndexInsert(storeAddrIndex_, inst.memAddr, inst.seq);
+        logStoreEvent(inst.seq);
         if (config_.disambiguation == Disambiguation::Speculative)
             checkStoreOrderViolation(inst);
         return true;
@@ -882,13 +917,13 @@ Processor::tryScheduleMemory(DynInst &inst)
     inst.memAddr =
         FunctionalExecutor::effectiveAddr(inst.inst, inst.srcVal[0]);
 
-    // Disambiguate against older visible stores. (Policy notes:
-    // Conservative waits on any unknown-address store; Speculative
-    // bypasses them unless the load is inactively issued — a salvaged
-    // stale value would bypass the violation check — or has a
-    // conflict history; Perfect "knows" the eventual addresses and
-    // waits only on true dependences.)
-    const bool proceed = loadMayProceed(inst);
+    // Disambiguate against older visible stores (the policies are
+    // described in loadMayProceed). A load blocked on an earlier
+    // attempt keeps that verdict until a store event could flip it.
+    bool proceed = false;
+    if (!blockedVerdictHolds(inst, entry))
+        proceed = loadMayProceed(inst, entry.blockedBy);
+    entry.checkedAt = storeEvents_;
     if (verifyIndexed_) {
         TCSIM_ASSERT(proceed == slowLoadDisambiguation(inst),
                      "indexed disambiguation diverges from reference "
@@ -921,21 +956,21 @@ Processor::scheduleStage()
             static_cast<std::uint8_t>(unit));
         unsigned attempts = 0;
         while (!queue.empty() && attempts < 8) {
-            const InstSeqNum seq = queue.front();
+            core::ReadyEntry entry = queue.front();
             queue.pop_front();
-            DynInst *di = instFor(seq);
+            DynInst *di = instFor(entry.seq);
             if (di == nullptr || di->fired || !di->inReadyQueue)
                 continue; // stale or already handled
             if (di->readyCycle > cycle_) {
-                queue.push_back(seq);
+                queue.push_back(entry);
                 ++attempts;
                 continue;
             }
 
             if (isa::isMem(di->inst.op)) {
-                if (!tryScheduleMemory(*di)) {
+                if (!tryScheduleMemory(*di, entry)) {
                     di->readyCycle = cycle_ + 1;
-                    queue.push_back(seq);
+                    queue.push_back(entry);
                     ++attempts;
                     continue;
                 }
@@ -1092,10 +1127,11 @@ Processor::resolveControl(DynInst &inst)
                         continue;
                     if (cand->fetchGroup != inst.fetchGroup)
                         break;
-                    if (!cand->active)
-                        cand->discarded = true;
-                    else
+                    if (cand->active)
                         break;
+                    cand->discarded = true;
+                    if (cand->isStore())
+                        logStoreEvent(cand->seq);
                 }
             }
             return;
@@ -1160,10 +1196,11 @@ Processor::resolveControl(DynInst &inst)
                     continue;
                 if (cand->fetchGroup != inst.fetchGroup)
                     break;
-                if (!cand->active)
-                    cand->discarded = true;
-                else
+                if (cand->active)
                     break;
+                cand->discarded = true;
+                if (cand->isStore())
+                    logStoreEvent(cand->seq);
             }
         }
         return;
@@ -1201,6 +1238,8 @@ Processor::completeStage()
             continue; // squashed or stale
         di->executed = true;
         di->resolveCycle = cycle_;
+        if (di->isStore())
+            logStoreEvent(seq);
         wakeDependents(*di);
         if (isa::isControl(di->inst.op))
             resolveControl(*di);
@@ -1341,6 +1380,7 @@ Processor::applyRecovery()
     // Salvage: activate the surviving inactive suffix.
     DynInst *tail = nullptr;
     if (req.salvage) {
+        invalidateBlockedVerdicts(); // visibility and load.active change
         for (auto it = robLowerBound(req.salvageFrom + 1);
              it != robOrder_.end(); ++it) {
             DynInst *di = instFor(*it);
@@ -1912,9 +1952,15 @@ Processor::functionalWarmup(std::uint64_t until)
     // Leader = the fetch-group start address the detailed front end
     // would use for a segment beginning at this block. Training the
     // position-0 counter at (leader, history-at-leader) warms exactly
-    // the entries segment-start predictions consult.
-    Addr leader = oracle_->pc();
-    std::uint64_t leader_hist = archHistory_;
+    // the entries segment-start predictions consult. The leader
+    // carries over from the previous call, so warming in steps leaves
+    // the same state as one call to the same end point.
+    if (warmLeader_ == kInvalidAddr) {
+        warmLeader_ = oracle_->pc();
+        warmLeaderHist_ = archHistory_;
+    }
+    Addr leader = warmLeader_;
+    std::uint64_t leader_hist = warmLeaderHist_;
     while (oracle_->instCount() < until && !oracle_->halted()) {
         const workload::StepResult step = oracle_->step();
         const Opcode op = step.inst.op;
@@ -1965,6 +2011,8 @@ Processor::functionalWarmup(std::uint64_t until)
     }
     TCSIM_ASSERT(oracle_->instCount() == until,
                  "program halted inside the functional warm-up window");
+    warmLeader_ = leader;
+    warmLeaderHist_ = leader_hist;
 
     // Committed mirrors and speculative resync, as in warmStart().
     memory_.copyFrom(oracle_->memory());

@@ -155,7 +155,8 @@ class Processor
      * any pipeline cycles. Warms exactly the state exportWarmState()
      * captures. Callable repeatedly with ascending @p until on a
      * never-cycled processor, so one warming pass can emit checkpoints
-     * at several positions. Fatal if the program halts before
+     * at several positions; calls in steps leave the same state as one
+     * call to the last @p until. Fatal if the program halts before
      * @p until.
      */
     void functionalWarmup(std::uint64_t until);
@@ -314,7 +315,7 @@ class Processor
     bool operandsReady(const core::DynInst &inst) const;
     void enqueueReady(core::DynInst &inst);
     void executeInst(core::DynInst &inst);
-    bool tryScheduleMemory(core::DynInst &inst);
+    bool tryScheduleMemory(core::DynInst &inst, core::ReadyEntry &entry);
     void resolveControl(core::DynInst &inst);
     void requestRecovery(const RecoveryRequest &request);
     void applyRecovery();
@@ -346,7 +347,12 @@ class Processor
     void unknownStoreResolved(InstSeqNum seq);
     const core::DynInst *
     youngestMatchingStoreBefore(const core::DynInst &load) const;
-    bool loadMayProceed(const core::DynInst &load) const;
+    bool loadMayProceed(const core::DynInst &load,
+                        InstSeqNum &blocked_by) const;
+    void logStoreEvent(InstSeqNum seq);
+    void invalidateBlockedVerdicts();
+    bool blockedVerdictHolds(const core::DynInst &load,
+                             const core::ReadyEntry &entry) const;
     const core::DynInst *
     oldestViolatingLoadAfter(const core::DynInst &store) const;
     const core::DynInst *
@@ -443,6 +449,18 @@ class Processor
     /** In-flight stores whose address is still unknown, sorted by seq
      * (dispatch order). */
     std::vector<InstSeqNum> unknownStores_;
+    /**
+     * Store-event log behind the cached blocked-load verdicts: the seqs
+     * of stores whose address resolved, that executed or that were
+     * discarded, in a power-of-two ring indexed by the running count
+     * storeEvents_. A verdict checked at count c is re-validated by
+     * scanning events [c, storeEvents_); once the ring has wrapped past
+     * c the load recomputes. invalidateBlockedVerdicts() advances the
+     * count by a whole ring, which forces every load to recompute.
+     */
+    static constexpr std::uint32_t kStoreEventLogSize = 1024;
+    std::array<InstSeqNum, kStoreEventLogSize> storeEventLog_{};
+    std::uint64_t storeEvents_ = 0;
     /** TCSIM_VERIFY_WINDOW_INDEX=1: run the reference scans alongside
      * every indexed lookup and assert agreement. */
     bool verifyIndexed_ = false;
@@ -474,6 +492,11 @@ class Processor
     Cycle icacheStallUntil_ = 0;
     bool serializeStall_ = false;
     Addr resumeAfterSerialize_ = kInvalidAddr;
+    /** Fetch leader and history-at-leader that functionalWarmup()
+     * carries from one call to the next (kInvalidAddr before the
+     * first call). */
+    Addr warmLeader_ = kInvalidAddr;
+    std::uint64_t warmLeaderHist_ = 0;
 
     // ------------------------------------------------------------------
     // Recovery state (one recovery applied per cycle, oldest wins).

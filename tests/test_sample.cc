@@ -192,6 +192,26 @@ TEST(SampleWarmState, ExportImportRoundTrip)
     EXPECT_EQ(first.str(), second.str());
 }
 
+TEST(SampleWarmState, ChunkedWarmupMatchesOneCall)
+{
+    // Warming in steps (as the sampled sweep's shared warmer does, one
+    // call per region position) must leave exactly the state of one
+    // call to the same end point: the fetch leader and its history
+    // carry across calls.
+    sim::Processor whole(sim::promotionPackingConfig(), compressProgram());
+    whole.functionalWarmup(30000);
+    std::ostringstream one_call;
+    whole.exportWarmState(one_call);
+
+    sim::Processor stepped(sim::promotionPackingConfig(),
+                           compressProgram());
+    for (std::uint64_t at = 5000; at <= 30000; at += 5000)
+        stepped.functionalWarmup(at);
+    std::ostringstream chunked;
+    stepped.exportWarmState(chunked);
+    EXPECT_EQ(one_call.str(), chunked.str());
+}
+
 TEST(SampleWarmState, ImportRejectsMismatchedConfig)
 {
     // The icache config has no trace cache: a warm state exported

@@ -40,6 +40,9 @@ configByName(const std::string &name, std::uint32_t rob_entries)
         config = sim::baselineConfig();
     } else if (name == "promo-pack") {
         config = sim::promotionPackingConfig(64);
+    } else if (name == "perfect") {
+        config = sim::promotionPackingConfig(64);
+        config.disambiguation = sim::Disambiguation::Perfect;
     } else {
         EXPECT_EQ(name, "speculative");
         config = sim::promotionPackingConfig(64);
@@ -82,6 +85,11 @@ constexpr GoldenRow kGolden[] = {
     {"m88ksim", "baseline", 512, 60000ull, 14316ull, 10887ull, 450ull, 0ull, 0ull},
     {"tex", "speculative", 512, 60000ull, 16434ull, 6527ull, 820ull, 5ull, 1ull},
     {"gnuchess", "promo-pack", 512, 60000ull, 15891ull, 16628ull, 1271ull, 44ull, 0ull},
+    // Captured before blocked loads cached their disambiguation
+    // verdicts: Perfect skips stores that only later resolve to the
+    // matching address, and server-oltp fills the window behind stores.
+    {"compress", "perfect", 256, 60000ull, 14895ull, 9188ull, 1054ull, 2ull, 0ull},
+    {"server-oltp", "promo-pack", 512, 60000ull, 18456ull, 13892ull, 1153ull, 1ull, 0ull},
 };
 
 TEST(WindowEquivalence, GoldenStatsBitIdentical)
@@ -131,6 +139,8 @@ TEST(WindowEquivalence, VerifyModeCrossChecksEveryEvent)
         {"compress", "speculative", 512},
         {"gnuchess", "promo-pack", 512},
         {"vortex", "baseline", 256},
+        {"compress", "perfect", 256},
+        {"server-oltp", "promo-pack", 512},
     };
     constexpr std::uint64_t kInsts = 40000;
     for (const Combo &combo : kCombos) {
