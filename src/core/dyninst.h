@@ -1,9 +1,10 @@
 /**
  * @file
  * DynInst: the record of one in-flight dynamic instruction, carried
- * from fetch through retire. The processor allocates these in a fixed
- * circular buffer; stale references (in ready queues or waiter lists)
- * are detected by sequence-number mismatch after reuse.
+ * from fetch through retire. It extends the fetched instruction
+ * (fetch::FetchedInst) with the core's rename, execution and
+ * resolution state; the processor keeps these in the InstRing slots
+ * (core/inst_ring.h).
  */
 
 #ifndef TCSIM_CORE_DYNINST_H
@@ -12,8 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "bpred/hybrid.h"
-#include "bpred/multi.h"
 #include "common/types.h"
 #include "fetch/fetch_types.h"
 #include "isa/instruction.h"
@@ -21,15 +20,14 @@
 namespace tcsim::core
 {
 
-/** One in-flight instruction. */
-struct DynInst
+/** One in-flight instruction: the fetched instruction (its
+ * speculation state included) plus the core's own state. */
+struct DynInst : fetch::FetchedInst
 {
     // ------------------------------------------------------------------
     // Identity.
     // ------------------------------------------------------------------
     InstSeqNum seq = kInvalidSeqNum;
-    isa::Instruction inst;
-    Addr pc = 0;
     std::uint64_t fetchGroup = 0;
     /** Seq of the first instruction of this fetch group. Groups
      * dispatch atomically, so [groupStartSeq, ...] is contiguous;
@@ -38,25 +36,8 @@ struct DynInst
     InstSeqNum groupStartSeq = kInvalidSeqNum;
     Cycle fetchCycle = 0;
     fetch::FetchSource source = fetch::FetchSource::ICache;
-
-    // ------------------------------------------------------------------
-    // Fetch-time speculation state.
-    // ------------------------------------------------------------------
-    /** False for inactive-issued trace-segment instructions. */
-    bool active = true;
     /** Inactive instruction whose path lost; retires as a no-op. */
     bool discarded = false;
-    bool promoted = false;
-    bool promotedDir = false;
-    bool endsBlock = false;
-    /** Direction the machine fetched along (see FetchedInst). */
-    bool followedDir = false;
-    bool embeddedTaken = false;
-    bool predictionValid = false;
-    bool usedHybrid = false;
-    bpred::MbpCtx mbpCtx;
-    bpred::HybridCtx hybridCtx;
-    Addr followedNextPc = 0;
 
     // ------------------------------------------------------------------
     // Oracle (statistics + perfect disambiguation) state.

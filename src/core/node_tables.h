@@ -33,7 +33,8 @@ struct NodeTableParams
  * the older store that decided "blocked" and the store-event count at
  * which the verdict was last known to hold (see
  * Processor::tryScheduleMemory). The verdict lives here rather than in
- * the DynInst so the 32K-slot instruction ring stays small.
+ * the DynInst, which every dispatch resets, so it does not grow the
+ * per-instruction slot.
  */
 struct ReadyEntry
 {

@@ -22,9 +22,6 @@ using workload::FunctionalExecutor;
 namespace
 {
 
-/** Circular DynInst storage slots; must exceed any live seq span. */
-constexpr std::size_t kRobStorageSlots = 32768;
-
 /** Hard per-run cycle budget multiplier (hang detection). */
 constexpr std::uint64_t kMaxCyclesPerInst = 200;
 
@@ -33,7 +30,7 @@ constexpr std::uint64_t kMaxCyclesPerInst = 200;
 Processor::Processor(const ProcessorConfig &config,
                      const workload::Program &program)
     : config_(config), program_(program), hierarchy_(config.hierarchy),
-      nodeTables_(config.nodeTables)
+      window_(config.robEntries), nodeTables_(config.nodeTables)
 {
     if (config_.useTraceCache) {
         traceCache_ = std::make_unique<trace::TraceCache>(
@@ -62,7 +59,6 @@ Processor::Processor(const ProcessorConfig &config,
     memory_.initFrom(program_);
     archRegs_[2] = workload::kStackTop; // matches FunctionalExecutor
 
-    robStorage_.resize(kRobStorageSlots);
     memDepTable_.assign(4096, 0);
     oracleRing_.resize(1024); // power of two; grows by doubling
     loadAddrIndex_.resize(kAddrIndexBuckets);
@@ -135,9 +131,9 @@ Processor::checkStoreOrderViolation(core::DynInst &store)
     req.redirect = violator->pc;
     req.cause = CycleCategory::BranchMisses;
     req.keepSeq = 0;
-    const auto pos = robLowerBound(violator->seq);
-    if (pos != robOrder_.begin())
-        req.keepSeq = *std::prev(pos);
+    const std::size_t pos = window_.lowerBound(violator->seq);
+    if (pos != 0)
+        req.keepSeq = window_.at(pos - 1).seq;
     if (verifyIndexed_) {
         TCSIM_ASSERT(req.keepSeq == slowKeepSeqBefore(violator->seq),
                      "binary-search keepSeq diverges from reference scan");
@@ -186,48 +182,11 @@ Processor::oracleAt(std::uint64_t idx)
 }
 
 // ----------------------------------------------------------------------
-// ROB plumbing.
-// ----------------------------------------------------------------------
-
-DynInst *
-Processor::instFor(InstSeqNum seq)
-{
-    if (seq == kInvalidSeqNum)
-        return nullptr;
-    DynInst &slot = robStorage_[seq % kRobStorageSlots];
-    return slot.seq == seq ? &slot : nullptr;
-}
-
-const DynInst *
-Processor::instFor(InstSeqNum seq) const
-{
-    if (seq == kInvalidSeqNum)
-        return nullptr;
-    const DynInst &slot = robStorage_[seq % kRobStorageSlots];
-    return slot.seq == seq ? &slot : nullptr;
-}
-
-DynInst &
-Processor::allocInst()
-{
-    if (!robOrder_.empty()) {
-        TCSIM_ASSERT(nextSeq_ - robOrder_.front() <
-                         kRobStorageSlots - 64,
-                     "DynInst storage span exhausted");
-    }
-    DynInst &slot = robStorage_[nextSeq_ % kRobStorageSlots];
-    slot.reset(nextSeq_);
-    robOrder_.push_back(nextSeq_);
-    ++nextSeq_;
-    return slot;
-}
-
-// ----------------------------------------------------------------------
 // Window-indexed lookups.
 //
-// robOrder_ is sorted ascending but has gaps (squashes pop the back
-// without rewinding nextSeq_, preserving stale-reference detection),
-// so positioning is O(log n) binary search. Address lookups go
+// Window positions are in ascending seq order but seqs have gaps
+// (allocation skips seqs after a squash, see core::InstRing), so
+// positioning is O(log n) binary search. Address lookups go
 // through small hashed seq-list buckets; membership invariants:
 //   loadAddrIndex_   = fired, un-retired loads (keyed by memAddr)
 //   storeAddrIndex_  = address-known, un-retired stores
@@ -236,12 +195,6 @@ Processor::allocInst()
 // maintained at dispatch, address resolution, salvage activation,
 // squash, and retire.
 // ----------------------------------------------------------------------
-
-std::deque<InstSeqNum>::const_iterator
-Processor::robLowerBound(InstSeqNum seq) const
-{
-    return std::lower_bound(robOrder_.begin(), robOrder_.end(), seq);
-}
 
 std::uint32_t
 Processor::addrBucket(Addr addr)
@@ -296,7 +249,7 @@ Processor::oldestViolatingLoadAfter(const DynInst &store) const
             continue;
         if (violator != nullptr && seq >= violator->seq)
             continue;
-        const DynInst *cand = instFor(seq);
+        const DynInst *cand = window_.find(seq);
         TCSIM_ASSERT(cand != nullptr, "stale load-index entry");
         if (cand->memAddr != store.memAddr)
             continue; // bucket collision
@@ -318,7 +271,7 @@ Processor::youngestMatchingStoreBefore(const DynInst &load) const
             continue;
         if (match != nullptr && seq <= match->seq)
             continue;
-        const DynInst *store = instFor(seq);
+        const DynInst *store = window_.find(seq);
         TCSIM_ASSERT(store != nullptr, "stale store-index entry");
         if (store->memAddr != load.memAddr)
             continue; // bucket collision
@@ -358,7 +311,7 @@ Processor::loadMayProceed(const DynInst &load, InstSeqNum &blocked_by) const
                                         unknownStores_.end(), load.seq);
              it != unknownStores_.begin();) {
             --it;
-            const DynInst *store = instFor(*it);
+            const DynInst *store = window_.find(*it);
             TCSIM_ASSERT(store != nullptr, "stale unknown-store entry");
             if (store->discarded)
                 continue;
@@ -437,18 +390,16 @@ const DynInst *
 Processor::slowOldestViolatingLoadAfter(const DynInst &store) const
 {
     const DynInst *violator = nullptr;
-    for (auto it = robOrder_.rbegin(); it != robOrder_.rend(); ++it) {
-        if (*it <= store.seq)
+    for (std::size_t pos = window_.size(); pos-- > 0;) {
+        const DynInst &cand = window_.at(pos);
+        if (cand.seq <= store.seq)
             break;
-        const DynInst *cand = instFor(*it);
-        if (cand == nullptr || cand->discarded)
+        if (cand.discarded)
             continue;
-        if (!cand->active && cand->fetchGroup != store.fetchGroup)
+        if (!cand.active && cand.fetchGroup != store.fetchGroup)
             continue;
-        if (cand->isLoad() && cand->fired &&
-            cand->memAddr == store.memAddr) {
-            violator = cand; // keep scanning: want the oldest violator
-        }
+        if (cand.isLoad() && cand.fired && cand.memAddr == store.memAddr)
+            violator = &cand; // keep scanning: want the oldest violator
     }
     return violator;
 }
@@ -456,9 +407,9 @@ Processor::slowOldestViolatingLoadAfter(const DynInst &store) const
 InstSeqNum
 Processor::slowKeepSeqBefore(InstSeqNum seq) const
 {
-    for (auto it = robOrder_.rbegin(); it != robOrder_.rend(); ++it) {
-        if (*it < seq)
-            return *it;
+    for (std::size_t pos = window_.size(); pos-- > 0;) {
+        if (window_.at(pos).seq < seq)
+            return window_.at(pos).seq;
     }
     return 0;
 }
@@ -469,7 +420,7 @@ Processor::slowLoadDisambiguation(const DynInst &load) const
     for (auto it = storeQueue_.rbegin(); it != storeQueue_.rend(); ++it) {
         if (*it >= load.seq)
             continue;
-        const DynInst *store = instFor(*it);
+        const DynInst *store = window_.find(*it);
         if (store == nullptr || store->discarded)
             continue;
         if (!store->active && store->fetchGroup != load.fetchGroup)
@@ -502,7 +453,7 @@ Processor::slowForwardingStore(const DynInst &load) const
     for (auto it = storeQueue_.rbegin(); it != storeQueue_.rend(); ++it) {
         if (*it >= load.seq)
             continue;
-        const DynInst *store = instFor(*it);
+        const DynInst *store = window_.find(*it);
         if (store == nullptr || store->discarded)
             continue;
         if (!store->active && store->fetchGroup != load.fetchGroup)
@@ -516,14 +467,12 @@ Processor::slowForwardingStore(const DynInst &load) const
 const DynInst *
 Processor::slowPreviousCheckpointFor(const DynInst &inst) const
 {
-    for (auto it = robOrder_.rbegin(); it != robOrder_.rend(); ++it) {
-        if (*it >= inst.seq)
+    for (std::size_t pos = window_.size(); pos-- > 0;) {
+        const DynInst &cand = window_.at(pos);
+        if (cand.seq >= inst.seq || !cand.active || cand.discarded)
             continue;
-        const DynInst *cand = instFor(*it);
-        if (cand == nullptr || !cand->active || cand->discarded)
-            continue;
-        if (cand->endsBlock || cand->fetchGroup != inst.fetchGroup)
-            return cand;
+        if (cand.endsBlock || cand.fetchGroup != inst.fetchGroup)
+            return &cand;
     }
     return nullptr;
 }
@@ -549,20 +498,18 @@ Processor::previousCheckpointFor(const DynInst &inst) const
         const auto it = std::lower_bound(checkpointStack_.begin(),
                                          checkpointStack_.end(), inst.seq);
         if (it != checkpointStack_.begin()) {
-            best = instFor(*std::prev(it));
+            best = window_.find(*std::prev(it));
             TCSIM_ASSERT(best != nullptr, "stale checkpoint-stack entry");
         }
     }
     TCSIM_ASSERT(inst.groupStartSeq != kInvalidSeqNum);
-    for (auto it = robLowerBound(inst.groupStartSeq);
-         it != robOrder_.begin();) {
-        --it;
-        if (best != nullptr && *it <= best->seq)
+    for (std::size_t pos = window_.lowerBound(inst.groupStartSeq);
+         pos-- > 0;) {
+        const DynInst &cand = window_.at(pos);
+        if (best != nullptr && cand.seq <= best->seq)
             break; // the stack candidate is younger
-        const DynInst *cand = instFor(*it);
-        TCSIM_ASSERT(cand != nullptr);
-        if (cand->active && !cand->discarded) {
-            best = cand;
+        if (cand.active && !cand.discarded) {
+            best = &cand;
             break;
         }
     }
@@ -668,7 +615,7 @@ Processor::fetchStage()
     // Structural stalls: queue space, ROB headroom, checkpoint pool.
     const bool queue_full = fetchQueue_.size() >= config_.fetchQueueBatches;
     const bool rob_full =
-        robOrder_.size() + config_.fetchWidth > config_.robEntries;
+        window_.size() + config_.fetchWidth > config_.robEntries;
     const bool ckpt_full =
         outstandingCheckpoints_ + trace::kMaxSegmentBranches >
         config_.checkpoints;
@@ -731,7 +678,7 @@ Processor::dispatchStage()
 
     // Whole batches dispatch atomically so trace-segment groups stay
     // contiguous in the window (inactive-issue salvage relies on it).
-    if (robOrder_.size() + batch_size > config_.robEntries)
+    if (window_.size() + batch_size > config_.robEntries)
         return;
     const std::uint32_t rs_capacity =
         nodeTables_.numUnits() * config_.nodeTables.entriesPerUnit;
@@ -742,28 +689,18 @@ Processor::dispatchStage()
     // over rat_ instead of a full RAT copy on fork (the tail beyond a
     // divergence touches only a few registers).
     core::RenameOverlay<RatEntry, isa::kNumArchRegs> shadow;
-    const InstSeqNum group_start = nextSeq_;
+    InstSeqNum group_start = kInvalidSeqNum;
 
     for (std::size_t i = 0; i < batch_size; ++i) {
         const fetch::FetchedInst &fi = pb.batch.insts[i];
-        DynInst &di = allocInst();
-        di.inst = fi.inst;
-        di.pc = fi.pc;
+        DynInst &di = window_.allocate();
+        static_cast<fetch::FetchedInst &>(di) = fi;
+        if (i == 0)
+            group_start = di.seq; // allocation may skip seqs
         di.fetchGroup = pb.group;
         di.groupStartSeq = group_start;
         di.fetchCycle = pb.fetchCycle;
         di.source = pb.batch.source;
-        di.active = fi.active;
-        di.promoted = fi.promoted;
-        di.promotedDir = fi.promotedDir;
-        di.endsBlock = fi.endsBlock;
-        di.followedDir = fi.followedDir;
-        di.embeddedTaken = fi.embeddedTaken;
-        di.predictionValid = fi.predictionValid;
-        di.usedHybrid = fi.usedHybrid;
-        di.mbpCtx = fi.mbpCtx;
-        di.hybridCtx = fi.hybridCtx;
-        di.followedNextPc = fi.followedNextPc;
 
         di.onCorrectPath = pb.wasOnPath && i < pb.correctPrefix;
         if (di.onCorrectPath) {
@@ -791,7 +728,7 @@ Processor::dispatchStage()
             if (entry.isValue) {
                 di.srcVal[op] = entry.value;
             } else {
-                DynInst *producer = instFor(entry.tag);
+                DynInst *producer = window_.find(entry.tag);
                 TCSIM_ASSERT(producer != nullptr,
                              "RAT tag without live producer");
                 if (producer->executed) {
@@ -958,7 +895,7 @@ Processor::scheduleStage()
         while (!queue.empty() && attempts < 8) {
             core::ReadyEntry entry = queue.front();
             queue.pop_front();
-            DynInst *di = instFor(entry.seq);
+            DynInst *di = window_.find(entry.seq);
             if (di == nullptr || di->fired || !di->inReadyQueue)
                 continue; // stale or already handled
             if (di->readyCycle > cycle_) {
@@ -1021,7 +958,7 @@ void
 Processor::wakeDependents(DynInst &producer)
 {
     for (const InstSeqNum waiter_seq : producer.waiters) {
-        DynInst *consumer = instFor(waiter_seq);
+        DynInst *consumer = window_.find(waiter_seq);
         if (consumer == nullptr)
             continue;
         bool changed = false;
@@ -1094,11 +1031,10 @@ Processor::resolveControl(DynInst &inst)
                     // the group's first surviving instruction.
                     req.keepSeq = 0;
                     req.redirect = inst.pc;
-                    for (const InstSeqNum other : robOrder_) {
-                        const DynInst *cand = instFor(other);
-                        if (cand != nullptr && cand->active &&
-                            !cand->discarded) {
-                            req.redirect = cand->pc;
+                    for (std::size_t pos = 0; pos < window_.size(); ++pos) {
+                        const DynInst &cand = window_.at(pos);
+                        if (cand.active && !cand.discarded) {
+                            req.redirect = cand.pc;
                             break;
                         }
                     }
@@ -1106,12 +1042,13 @@ Processor::resolveControl(DynInst &inst)
                 // The replay refetches any earlier dynamic instances
                 // of this PC; the override must pass over them and hit
                 // exactly the faulting instance.
-                for (auto it = robLowerBound(req.keepSeq + 1);
-                     it != robOrder_.end() && *it < inst.seq; ++it) {
-                    const DynInst *prior = instFor(*it);
-                    if (prior != nullptr && prior->pc == inst.pc &&
-                        prior->isCondBranch() && prior->active &&
-                        !prior->discarded) {
+                for (std::size_t pos = window_.lowerBound(req.keepSeq + 1);
+                     pos < window_.size(); ++pos) {
+                    const DynInst &prior = window_.at(pos);
+                    if (prior.seq >= inst.seq)
+                        break;
+                    if (prior.pc == inst.pc && prior.isCondBranch() &&
+                        prior.active && !prior.discarded) {
                         ++req.overrideSkip;
                     }
                 }
@@ -1120,19 +1057,7 @@ Processor::resolveControl(DynInst &inst)
                 // An override flipped this promoted branch off the
                 // segment's embedded path and the flip was right: the
                 // inactively issued suffix loses.
-                for (auto it = robLowerBound(inst.seq + 1);
-                     it != robOrder_.end(); ++it) {
-                    DynInst *cand = instFor(*it);
-                    if (cand == nullptr)
-                        continue;
-                    if (cand->fetchGroup != inst.fetchGroup)
-                        break;
-                    if (cand->active)
-                        break;
-                    cand->discarded = true;
-                    if (cand->isStore())
-                        logStoreEvent(cand->seq);
-                }
+                discardInactiveSuffix(inst);
             }
             return;
         }
@@ -1162,15 +1087,13 @@ Processor::resolveControl(DynInst &inst)
             // suffix of this fetch group is already in the window.
             InstSeqNum last_suffix = kInvalidSeqNum;
             if (inst.endsBlock && inst.taken == inst.embeddedTaken) {
-                for (auto it = robLowerBound(inst.seq + 1);
-                     it != robOrder_.end(); ++it) {
-                    const DynInst *cand = instFor(*it);
-                    if (cand == nullptr)
-                        continue;
-                    if (cand->fetchGroup != inst.fetchGroup)
+                for (std::size_t pos = window_.lowerBound(inst.seq + 1);
+                     pos < window_.size(); ++pos) {
+                    const DynInst &cand = window_.at(pos);
+                    if (cand.fetchGroup != inst.fetchGroup)
                         break; // groups are contiguous
-                    if (!cand->active && !cand->discarded)
-                        last_suffix = cand->seq;
+                    if (!cand.active && !cand.discarded)
+                        last_suffix = cand.seq;
                     else
                         break;
                 }
@@ -1189,19 +1112,7 @@ Processor::resolveControl(DynInst &inst)
                    inst.followedDir != inst.embeddedTaken) {
             // Correct prediction that diverged from the segment: the
             // inactively issued suffix loses and is discarded.
-            for (auto it = robLowerBound(inst.seq + 1);
-                 it != robOrder_.end(); ++it) {
-                DynInst *cand = instFor(*it);
-                if (cand == nullptr)
-                    continue;
-                if (cand->fetchGroup != inst.fetchGroup)
-                    break;
-                if (cand->active)
-                    break;
-                cand->discarded = true;
-                if (cand->isStore())
-                    logStoreEvent(cand->seq);
-            }
+            discardInactiveSuffix(inst);
         }
         return;
     }
@@ -1223,6 +1134,22 @@ Processor::resolveControl(DynInst &inst)
 }
 
 void
+Processor::discardInactiveSuffix(const DynInst &inst)
+{
+    // The inactive instructions right after @p inst in its fetch group
+    // (groups are contiguous in the window).
+    for (std::size_t pos = window_.lowerBound(inst.seq + 1);
+         pos < window_.size(); ++pos) {
+        DynInst &cand = window_.at(pos);
+        if (cand.fetchGroup != inst.fetchGroup || cand.active)
+            break;
+        cand.discarded = true;
+        if (cand.isStore())
+            logStoreEvent(cand.seq);
+    }
+}
+
+void
 Processor::completeStage()
 {
     while (!completionHeap_.empty() &&
@@ -1233,7 +1160,7 @@ Processor::completeStage()
         completionHeap_.pop_back();
         (void)when;
 
-        DynInst *di = instFor(seq);
+        DynInst *di = window_.find(seq);
         if (di == nullptr || di->executed || !di->fired)
             continue; // squashed or stale
         di->executed = true;
@@ -1262,26 +1189,23 @@ Processor::requestRecovery(const RecoveryRequest &request)
 void
 Processor::squashYoungerThan(InstSeqNum keep_seq)
 {
-    while (!robOrder_.empty() && robOrder_.back() > keep_seq) {
-        const InstSeqNum seq = robOrder_.back();
-        robOrder_.pop_back();
-        DynInst *di = instFor(seq);
-        TCSIM_ASSERT(di != nullptr);
-        if (!di->fired)
-            nodeTables_.release(di->rsTable);
-        if (di->endsBlock) {
+    while (!window_.empty() && window_.back().seq > keep_seq) {
+        const DynInst &di = window_.back();
+        if (!di.fired)
+            nodeTables_.release(di.rsTable);
+        if (di.endsBlock) {
             TCSIM_ASSERT(outstandingCheckpoints_ > 0);
             --outstandingCheckpoints_;
         }
-        // Unindex before invalidating the seq (unknown stores are
-        // bulk-trimmed below, like storeQueue_).
-        if (di->isStore()) {
-            if (di->memAddrKnown)
-                addrIndexRemove(storeAddrIndex_, di->memAddr, seq);
-        } else if (di->isLoad() && di->fired) {
-            addrIndexRemove(loadAddrIndex_, di->memAddr, seq);
+        // Unindex before the pop invalidates the seq (unknown stores
+        // are bulk-trimmed below, like storeQueue_).
+        if (di.isStore()) {
+            if (di.memAddrKnown)
+                addrIndexRemove(storeAddrIndex_, di.memAddr, di.seq);
+        } else if (di.isLoad() && di.fired) {
+            addrIndexRemove(loadAddrIndex_, di.memAddr, di.seq);
         }
-        di->seq = kInvalidSeqNum; // invalidate stale references
+        window_.popBack();
     }
     while (!storeQueue_.empty() && storeQueue_.back() > keep_seq)
         storeQueue_.pop_back();
@@ -1304,9 +1228,8 @@ Processor::rebuildSpeculativeState(const DynInst *tail)
     Addr salvage_redirect = kInvalidAddr;
     bool saw_serializer = false;
 
-    for (const InstSeqNum seq : robOrder_) {
-        DynInst *di = instFor(seq);
-        TCSIM_ASSERT(di != nullptr);
+    for (std::size_t pos = 0; pos < window_.size(); ++pos) {
+        DynInst *di = &window_.at(pos);
         if (!di->active || di->discarded)
             continue;
 
@@ -1366,7 +1289,7 @@ Processor::applyRecovery()
         return;
     recoveryPending_ = false;
     const RecoveryRequest req = recovery_;
-    if (DynInst *origin = instFor(req.originSeq))
+    if (DynInst *origin = window_.find(req.originSeq))
         origin->recoveryApplied = true;
     debugRecoveryLog_.emplace_back(cycle_, req.keepSeq, req.redirect,
                                    (int)req.cause, req.salvage);
@@ -1381,20 +1304,19 @@ Processor::applyRecovery()
     DynInst *tail = nullptr;
     if (req.salvage) {
         invalidateBlockedVerdicts(); // visibility and load.active change
-        for (auto it = robLowerBound(req.salvageFrom + 1);
-             it != robOrder_.end(); ++it) {
-            DynInst *di = instFor(*it);
-            TCSIM_ASSERT(di != nullptr);
-            if (!di->active) {
-                di->active = true;
+        for (std::size_t pos = window_.lowerBound(req.salvageFrom + 1);
+             pos < window_.size(); ++pos) {
+            DynInst &di = window_.at(pos);
+            if (!di.active) {
+                di.active = true;
                 // Newly activated block-ending branches become
                 // checkpoints. The squash above already trimmed the
                 // stack past keepSeq, so pushes stay sorted.
-                if (di->endsBlock)
-                    checkpointStack_.push_back(di->seq);
+                if (di.endsBlock)
+                    checkpointStack_.push_back(di.seq);
             }
         }
-        tail = instFor(req.keepSeq);
+        tail = window_.find(req.keepSeq);
         TCSIM_ASSERT(tail != nullptr, "salvage tail vanished");
     }
 
@@ -1427,10 +1349,10 @@ Processor::applyRecovery()
     // retire boundary.
     const DynInst *anchor = nullptr;
     if (req.keepSeq != 0) {
-        for (auto it = robOrder_.rbegin(); it != robOrder_.rend(); ++it) {
-            const DynInst *cand = instFor(*it);
-            if (cand != nullptr && cand->active && !cand->discarded) {
-                anchor = cand;
+        for (std::size_t pos = window_.size(); pos-- > 0;) {
+            const DynInst &cand = window_.at(pos);
+            if (cand.active && !cand.discarded) {
+                anchor = &cand;
                 break;
             }
         }
@@ -1460,13 +1382,11 @@ Processor::applyRecovery()
     // Salvaged instructions that already executed may themselves have
     // resolved against the machine's new path; re-run their checks.
     if (req.salvage) {
-        for (auto it = robLowerBound(req.salvageFrom + 1);
-             it != robOrder_.end(); ++it) {
-            DynInst *di = instFor(*it);
-            if (di != nullptr && di->executed &&
-                isa::isControl(di->inst.op)) {
-                resolveControl(*di);
-            }
+        for (std::size_t pos = window_.lowerBound(req.salvageFrom + 1);
+             pos < window_.size(); ++pos) {
+            DynInst &di = window_.at(pos);
+            if (di.executed && isa::isControl(di.inst.op))
+                resolveControl(di);
         }
     }
 }
@@ -1634,10 +1554,10 @@ Processor::retireOne(DynInst &inst)
     } else if (op == Opcode::Trap) {
         // Resume fetch unless another in-flight serializer remains.
         serializeStall_ = false;
-        for (const InstSeqNum other : robOrder_) {
-            const DynInst *di = instFor(other);
-            if (di != nullptr && di->seq != inst.seq && di->active &&
-                !di->discarded && isa::isSerializing(di->inst.op)) {
+        for (std::size_t pos = 0; pos < window_.size(); ++pos) {
+            const DynInst &di = window_.at(pos);
+            if (di.seq != inst.seq && di.active && !di.discarded &&
+                isa::isSerializing(di.inst.op)) {
                 serializeStall_ = true;
                 break;
             }
@@ -1681,14 +1601,12 @@ void
 Processor::retireStage()
 {
     unsigned retired = 0;
-    while (!robOrder_.empty() && retired < config_.retireWidth) {
-        const InstSeqNum seq = robOrder_.front();
+    while (!window_.empty() && retired < config_.retireWidth) {
+        DynInst *di = &window_.front();
         // Never retire past a pending recovery point: everything
         // younger is about to be squashed.
-        if (recoveryPending_ && seq > recovery_.keepSeq)
+        if (recoveryPending_ && di->seq > recovery_.keepSeq)
             break;
-        DynInst *di = instFor(seq);
-        TCSIM_ASSERT(di != nullptr);
         if (!di->executed)
             break;
         // An inactive instruction at the head is awaiting salvage
@@ -1715,8 +1633,7 @@ Processor::retireStage()
             break;
         }
         retireOne(*di);
-        robOrder_.pop_front();
-        di->seq = kInvalidSeqNum;
+        window_.popFront();
         ++retired;
         if (done_)
             break;
@@ -1796,7 +1713,7 @@ Processor::run(std::uint64_t max_insts)
                          "stall=%llu ser=%d rec=%d onP=%d ofi=%llu "
                          "ori=%llu\n",
                          (unsigned long long)cycle_,
-                         (unsigned long long)fetchPc_, robOrder_.size(),
+                         (unsigned long long)fetchPc_, window_.size(),
                          fetchQueue_.size(), outstandingCheckpoints_,
                          (unsigned long long)icacheStallUntil_,
                          (int)serializeStall_, (int)recoveryPending_,
@@ -1811,7 +1728,7 @@ Processor::run(std::uint64_t max_insts)
                   "onPath=%d)",
                   static_cast<unsigned long long>(cycle_),
                   static_cast<unsigned long long>(retiredInsts_),
-                  robOrder_.size(), fetchQueue_.size(),
+                  window_.size(), fetchQueue_.size(),
                   static_cast<int>(serializeStall_),
                   static_cast<int>(recoveryPending_),
                   outstandingCheckpoints_,
@@ -1898,7 +1815,7 @@ Processor::intervalCounters() const
 void
 Processor::warmStart(const workload::ArchCheckpoint &ckpt)
 {
-    TCSIM_ASSERT(cycle_ == 0 && retiredInsts_ == 0 && robOrder_.empty(),
+    TCSIM_ASSERT(cycle_ == 0 && retiredInsts_ == 0 && window_.empty(),
                  "warmStart requires a pristine processor");
     TCSIM_ASSERT(!ckpt.halted, "cannot warm-start at a halted program");
 
@@ -1943,7 +1860,7 @@ Processor::warmStart(const workload::ArchCheckpoint &ckpt)
 void
 Processor::functionalWarmup(std::uint64_t until)
 {
-    TCSIM_ASSERT(cycle_ == 0 && robOrder_.empty() && oracleCount_ == 0,
+    TCSIM_ASSERT(cycle_ == 0 && window_.empty() && oracleCount_ == 0,
                  "functionalWarmup requires a pre-run processor");
     TCSIM_ASSERT(oracle_->instCount() == retiredInsts_,
                  "oracle out of sync with the committed position");
@@ -2064,7 +1981,7 @@ Processor::controlFlowPass(
     const std::function<bool(workload::StepResult &)> &source,
     Addr start_pc, workload::BtraceWriter *writer)
 {
-    TCSIM_ASSERT(cycle_ == 0 && robOrder_.empty() && oracleCount_ == 0,
+    TCSIM_ASSERT(cycle_ == 0 && window_.empty() && oracleCount_ == 0,
                  "control-flow passes require a pre-run processor");
 
     ControlFlowResult result;

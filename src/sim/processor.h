@@ -44,6 +44,7 @@
 #include "bpred/hybrid.h"
 #include "bpred/multi.h"
 #include "core/dyninst.h"
+#include "core/inst_ring.h"
 #include "core/node_tables.h"
 #include "fetch/fetch_engine.h"
 #include "memory/hierarchy.h"
@@ -308,15 +309,13 @@ class Processor
     void fetchStage();
 
     // Helpers.
-    core::DynInst *instFor(InstSeqNum seq);
-    const core::DynInst *instFor(InstSeqNum seq) const;
-    core::DynInst &allocInst();
     void wakeDependents(core::DynInst &producer);
     bool operandsReady(const core::DynInst &inst) const;
     void enqueueReady(core::DynInst &inst);
     void executeInst(core::DynInst &inst);
     bool tryScheduleMemory(core::DynInst &inst, core::ReadyEntry &entry);
     void resolveControl(core::DynInst &inst);
+    void discardInactiveSuffix(const core::DynInst &inst);
     void requestRecovery(const RecoveryRequest &request);
     void applyRecovery();
     void squashYoungerThan(InstSeqNum keep_seq);
@@ -331,14 +330,10 @@ class Processor
     // Window-indexed lookups. The hot per-event scans (store-order
     // violation, load forwarding/disambiguation, promoted-fault
     // checkpoint selection) are answered from incrementally maintained
-    // indexes in O(1)/O(log n) instead of walking robOrder_ or
+    // indexes in O(1)/O(log n) instead of walking the window or
     // storeQueue_. The original reference scans are kept as slow*
     // twins; TCSIM_VERIFY_WINDOW_INDEX=1 cross-checks every event.
     // ------------------------------------------------------------------
-    /** First robOrder_ position with seq >= @p seq (robOrder_ is
-     * sorted ascending but not contiguous — squashes leave gaps). */
-    std::deque<InstSeqNum>::const_iterator
-    robLowerBound(InstSeqNum seq) const;
     static std::uint32_t addrBucket(Addr addr);
     static void addrIndexInsert(std::vector<std::vector<InstSeqNum>> &index,
                                 Addr addr, InstSeqNum seq);
@@ -422,9 +417,8 @@ class Processor
     // ------------------------------------------------------------------
     // Window state.
     // ------------------------------------------------------------------
-    std::vector<core::DynInst> robStorage_;
-    std::deque<InstSeqNum> robOrder_;
-    InstSeqNum nextSeq_ = 1;
+    /** The in-flight instructions, oldest first: the ROB. */
+    core::InstRing window_;
     core::NodeTables nodeTables_;
     std::deque<InstSeqNum> storeQueue_; // sorted by seq
     std::uint32_t outstandingCheckpoints_ = 0;
@@ -435,7 +429,7 @@ class Processor
      * activation), popped from the back on squash and from the front
      * when the branch retires. Promoted-fault recovery and
      * store-violation keepSeq selection read their targets from here
-     * instead of scanning robOrder_.
+     * instead of scanning the window.
      */
     std::deque<InstSeqNum> checkpointStack_;
 

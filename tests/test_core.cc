@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/inst_ring.h"
 #include "sim/processor.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -459,6 +460,78 @@ TEST(CoreKnobs, TinyTraceCacheStillCorrect)
     EXPECT_GE(r.instructions, 60000u);
     // A 16-segment cache still hits inside loops.
     EXPECT_GT(r.tcHits, 0u);
+}
+
+// ----------------------------------------------------------------------
+// The instruction ring (core::InstRing).
+// ----------------------------------------------------------------------
+
+TEST(InstRing, CapacityIsNextPowerOfTwo)
+{
+    EXPECT_EQ(core::InstRing(1).capacity(), 1u);
+    EXPECT_EQ(core::InstRing(32).capacity(), 32u);
+    EXPECT_EQ(core::InstRing(384).capacity(), 512u);
+    EXPECT_EQ(core::InstRing(512).capacity(), 512u);
+    EXPECT_EQ(core::InstRing(513).capacity(), 1024u);
+}
+
+TEST(InstRing, AllocationAfterSquashTakesTheSlotAfterTheTail)
+{
+    core::InstRing ring(8);
+    std::vector<InstSeqNum> seqs;
+    std::vector<const core::DynInst *> slots;
+    for (int i = 0; i < 6; ++i) {
+        const core::DynInst &di = ring.allocate();
+        seqs.push_back(di.seq);
+        slots.push_back(&di);
+    }
+    ring.popFront(); // retire seqs[0]
+    for (int i = 0; i < 3; ++i)
+        ring.popBack(); // squash seqs[3..5]
+    ASSERT_EQ(ring.size(), 2u);
+    EXPECT_EQ(ring.back().seq, seqs[2]);
+
+    const core::DynInst &next = ring.allocate();
+    EXPECT_EQ(&next, slots[3]); // the slot right after the tail
+    EXPECT_GT(next.seq, seqs.back());
+    EXPECT_NE(next.seq, kInvalidSeqNum);
+    EXPECT_EQ(ring.size(), 3u);
+    EXPECT_EQ(ring.lowerBound(seqs[2] + 1), 2u);
+    EXPECT_EQ(ring.at(2).seq, next.seq);
+}
+
+TEST(InstRing, FindFailsForRetiredAndSquashedSeqs)
+{
+    core::InstRing ring(4);
+    const InstSeqNum kept = ring.allocate().seq;
+    const InstSeqNum retired = ring.allocate().seq;
+    const InstSeqNum squashed = ring.allocate().seq;
+    ring.popBack();
+    EXPECT_EQ(ring.find(squashed), nullptr);
+    ASSERT_NE(ring.find(kept), nullptr);
+    EXPECT_EQ(ring.find(kept)->seq, kept);
+    EXPECT_EQ(ring.find(kInvalidSeqNum), nullptr);
+
+    // Reuse the squashed seq's slot: the stale seq still misses.
+    const core::DynInst &reused = ring.allocate();
+    EXPECT_EQ(reused.seq & (ring.capacity() - 1),
+              squashed & (ring.capacity() - 1));
+    EXPECT_EQ(ring.find(squashed), nullptr);
+    EXPECT_EQ(ring.find(reused.seq), &reused);
+
+    ring.popFront();
+    ring.popFront(); // retire kept and the one after it
+    EXPECT_EQ(ring.find(kept), nullptr);
+    EXPECT_EQ(ring.find(retired), nullptr);
+    EXPECT_EQ(ring.front().seq, reused.seq);
+}
+
+TEST(InstRingDeath, FillingPastCapacityAborts)
+{
+    core::InstRing ring(4);
+    for (int i = 0; i < 4; ++i)
+        ring.allocate();
+    EXPECT_DEATH(ring.allocate(), "instruction ring full");
 }
 
 } // namespace

@@ -3,13 +3,16 @@
  * Recovery-path equivalence tests for the window-indexed lookups.
  *
  * The indexed event paths (checkpoint stack, hashed memAddr indexes,
- * binary-searched robOrder_ positioning) must be *bit-identical* to
- * the original O(window) scans. Two layers of proof:
+ * binary-searched positions in the instruction ring) must be
+ * *bit-identical* to the original O(window) scans. Two layers of
+ * proof:
  *
  *  1. A golden-stats fixture: cycle/branch/mispredict/fault/violation
  *     counts captured from the pre-indexing simulator (commit
- *     77a5ca7) across benchmarks, configs, and two ROB sizes. The
- *     current simulator must reproduce every number exactly.
+ *     77a5ca7) across benchmarks, configs, and ROB sizes, plus rows
+ *     for ring shapes captured before the window became a ring of
+ *     robEntries slots. The current simulator must reproduce every
+ *     number exactly.
  *
  *  2. Verify mode: TCSIM_VERIFY_WINDOW_INDEX=1 makes the processor
  *     run the original reference scans beside every indexed lookup
@@ -90,6 +93,13 @@ constexpr GoldenRow kGolden[] = {
     // matching address, and server-oltp fills the window behind stores.
     {"compress", "perfect", 256, 60000ull, 14895ull, 9188ull, 1054ull, 2ull, 0ull},
     {"server-oltp", "promo-pack", 512, 60000ull, 18456ull, 13892ull, 1153ull, 1ull, 0ull},
+    // Captured while the window still lived in 32K slots: a ROB that is
+    // not a power of two (ring of 512), a 32-entry ROB whose slots are
+    // reused within a few cycles of a squash, and 1024-entry ROBs.
+    {"gcc", "promo-pack", 384, 60000ull, 27722ull, 9665ull, 1176ull, 10ull, 0ull},
+    {"gnuchess", "promo-pack", 32, 60000ull, 24494ull, 16628ull, 1150ull, 49ull, 0ull},
+    {"compress", "speculative", 1024, 60000ull, 15012ull, 9188ull, 1075ull, 2ull, 0ull},
+    {"gcc", "promo-pack", 1024, 60000ull, 27451ull, 9665ull, 1248ull, 10ull, 0ull},
 };
 
 TEST(WindowEquivalence, GoldenStatsBitIdentical)
@@ -141,6 +151,10 @@ TEST(WindowEquivalence, VerifyModeCrossChecksEveryEvent)
         {"vortex", "baseline", 256},
         {"compress", "perfect", 256},
         {"server-oltp", "promo-pack", 512},
+        {"gcc", "promo-pack", 384},
+        {"gnuchess", "promo-pack", 32},
+        {"compress", "speculative", 1024},
+        {"gcc", "promo-pack", 1024},
     };
     constexpr std::uint64_t kInsts = 40000;
     for (const Combo &combo : kCombos) {
