@@ -289,14 +289,15 @@ void
 BM_ProcessorSimulation(benchmark::State &state)
 {
     // Whole-machine simulation speed in retired instructions/second.
+    std::int64_t retired = 0;
     for (auto _ : state) {
         sim::Processor proc(sim::promotionPackingConfig(),
                             compressProgram());
         proc.run(20000);
         benchmark::DoNotOptimize(proc.retiredInsts());
-        state.SetItemsProcessed(
-            static_cast<std::int64_t>(proc.retiredInsts()));
+        retired += static_cast<std::int64_t>(proc.retiredInsts());
     }
+    state.SetItemsProcessed(retired);
 }
 BENCHMARK(BM_ProcessorSimulation)->Unit(benchmark::kMillisecond);
 

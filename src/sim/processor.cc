@@ -30,7 +30,8 @@ constexpr std::uint64_t kMaxCyclesPerInst = 200;
 Processor::Processor(const ProcessorConfig &config,
                      const workload::Program &program)
     : config_(config), program_(program), hierarchy_(config.hierarchy),
-      window_(config.robEntries), nodeTables_(config.nodeTables)
+      window_(config.robEntries), nodeTables_(config.nodeTables),
+      parkedUnits_(config.nodeTables.numUnits)
 {
     if (config_.useTraceCache) {
         traceCache_ = std::make_unique<trace::TraceCache>(
@@ -885,68 +886,123 @@ Processor::tryScheduleMemory(DynInst &inst, core::ReadyEntry &entry)
     return true;
 }
 
+// Each unit starts at most one operation per cycle and makes at most
+// kScheduleAttempts attempts to find it. An entry that cannot fire yet
+// goes to the back of the queue.
+constexpr unsigned kScheduleAttempts = 8;
+
+bool
+Processor::scheduleUnit(core::ReadyRing &queue)
+{
+    unsigned attempts = 0;
+    unsigned blocked = 0; // first visits that disambiguation blocked
+    bool stale = false;
+    while (!queue.empty() && attempts < kScheduleAttempts) {
+        core::ReadyEntry &entry = queue.front();
+        DynInst *di = window_.find(entry.seq);
+        if (di == nullptr || di->fired || !di->inReadyQueue) {
+            queue.pop_front();
+            stale = true;
+            continue; // stale or already handled
+        }
+        if (di->readyCycle > cycle_) {
+            queue.rotate(1);
+            ++attempts;
+            continue;
+        }
+
+        if (isa::isMem(di->inst.op)) {
+            if (!tryScheduleMemory(*di, entry)) {
+                di->readyCycle = cycle_ + 1;
+                queue.rotate(1);
+                ++attempts;
+                ++blocked;
+                continue;
+            }
+        } else {
+            std::uint32_t latency;
+            switch (isa::instClass(di->inst.op)) {
+              case isa::InstClass::IntMult:
+                latency = config_.latIntMult;
+                break;
+              case isa::InstClass::IntDiv:
+                latency = config_.latIntDiv;
+                break;
+              default:
+                latency = config_.latIntAlu;
+                break;
+            }
+            di->completeCycle = cycle_ + latency;
+        }
+        queue.pop_front();
+
+        if (di->isLoad()) {
+            // Result (the loaded value) was set by
+            // tryScheduleMemory; keep it for completion.
+        } else {
+            executeInst(*di);
+        }
+
+        di->fired = true;
+        if (di->isLoad()) {
+            // Fired loads enter the violation-check index.
+            addrIndexInsert(loadAddrIndex_, di->memAddr, di->seq);
+        }
+        di->inReadyQueue = false;
+        nodeTables_.release(di->rsTable);
+        completionHeap_.emplace_back(di->completeCycle, di->seq);
+        std::push_heap(completionHeap_.begin(), completionHeap_.end(),
+                       std::greater<>());
+        return false; // this unit started its one op for the cycle
+    }
+    // Park when the pass used every attempt and each of the n entries
+    // still queued was a load whose first visit disambiguation blocked
+    // (a blocked load is pushed back with readyCycle = cycle_ + 1, so
+    // it is visited at most once per pass that way; n <= 8 follows).
+    return attempts == kScheduleAttempts && !stale &&
+           blocked == queue.size();
+}
+
+// A parked unit's next pass is known while no store event, push into
+// the unit or squash has happened since the pass that parked it: every
+// entry is a live load whose cached blocked verdict still holds
+// (blockedVerdictHolds scans an empty event range), so the pass fires
+// nothing, changes no verdict and turns the queue by 8 mod n. The
+// parked path only turns the queue; it skips the readyCycle = cycle_ + 1
+// writes, which only this loop reads and which a parked load's next
+// visit, in a later cycle, would pass anyway. Verify mode runs the
+// ordinary pass instead and asserts that outcome.
 void
 Processor::scheduleStage()
 {
     for (std::uint32_t unit = 0; unit < nodeTables_.numUnits(); ++unit) {
-        auto &queue = nodeTables_.readyQueue(
-            static_cast<std::uint8_t>(unit));
-        unsigned attempts = 0;
-        while (!queue.empty() && attempts < 8) {
-            core::ReadyEntry entry = queue.front();
-            queue.pop_front();
-            DynInst *di = window_.find(entry.seq);
-            if (di == nullptr || di->fired || !di->inReadyQueue)
-                continue; // stale or already handled
-            if (di->readyCycle > cycle_) {
-                queue.push_back(entry);
-                ++attempts;
+        const auto u = static_cast<std::uint8_t>(unit);
+        core::ReadyRing &queue = nodeTables_.readyQueue(u);
+        ParkedUnit &park = parkedUnits_[unit];
+        if (park.parked && park.storeEvents == storeEvents_ &&
+            park.pushes == nodeTables_.pushes(u) &&
+            park.squashedInsts == squashedInsts_) {
+            if (!verifyIndexed_) {
+                queue.rotate(kScheduleAttempts);
                 continue;
             }
-
-            if (isa::isMem(di->inst.op)) {
-                if (!tryScheduleMemory(*di, entry)) {
-                    di->readyCycle = cycle_ + 1;
-                    queue.push_back(entry);
-                    ++attempts;
-                    continue;
-                }
-            } else {
-                std::uint32_t latency;
-                switch (isa::instClass(di->inst.op)) {
-                  case isa::InstClass::IntMult:
-                    latency = config_.latIntMult;
-                    break;
-                  case isa::InstClass::IntDiv:
-                    latency = config_.latIntDiv;
-                    break;
-                  default:
-                    latency = config_.latIntAlu;
-                    break;
-                }
-                di->completeCycle = cycle_ + latency;
+            core::ReadyRing expected = queue;
+            expected.rotate(kScheduleAttempts);
+            TCSIM_ASSERT(scheduleUnit(queue),
+                         "parked unit %u did not stay parked", unit);
+            TCSIM_ASSERT(queue.size() == expected.size());
+            for (std::size_t i = 0; i < expected.size(); ++i) {
+                TCSIM_ASSERT(queue[i] == expected[i],
+                             "parked unit %u turned its queue out of "
+                             "order",
+                             unit);
             }
-
-            if (di->isLoad()) {
-                // Result (the loaded value) was set by
-                // tryScheduleMemory; keep it for completion.
-            } else {
-                executeInst(*di);
-            }
-
-            di->fired = true;
-            if (di->isLoad()) {
-                // Fired loads enter the violation-check index.
-                addrIndexInsert(loadAddrIndex_, di->memAddr, di->seq);
-            }
-            di->inReadyQueue = false;
-            nodeTables_.release(di->rsTable);
-            completionHeap_.emplace_back(di->completeCycle, di->seq);
-            std::push_heap(completionHeap_.begin(),
-                           completionHeap_.end(),
-                           std::greater<>());
-            break; // this unit started its one op for the cycle
+            continue;
         }
+        park.parked = scheduleUnit(queue);
+        park.storeEvents = storeEvents_;
+        park.pushes = nodeTables_.pushes(u);
+        park.squashedInsts = squashedInsts_;
     }
 }
 
@@ -1206,6 +1262,7 @@ Processor::squashYoungerThan(InstSeqNum keep_seq)
             addrIndexRemove(loadAddrIndex_, di.memAddr, di.seq);
         }
         window_.popBack();
+        ++squashedInsts_;
     }
     while (!storeQueue_.empty() && storeQueue_.back() > keep_seq)
         storeQueue_.pop_back();

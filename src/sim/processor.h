@@ -314,6 +314,9 @@ class Processor
     void enqueueReady(core::DynInst &inst);
     void executeInst(core::DynInst &inst);
     bool tryScheduleMemory(core::DynInst &inst, core::ReadyEntry &entry);
+    /** One unit's pass over its ready queue; @return true when the
+     * unit may park (see scheduleStage). */
+    bool scheduleUnit(core::ReadyRing &queue);
     void resolveControl(core::DynInst &inst);
     void discardInactiveSuffix(const core::DynInst &inst);
     void requestRecovery(const RecoveryRequest &request);
@@ -455,6 +458,22 @@ class Processor
     static constexpr std::uint32_t kStoreEventLogSize = 1024;
     std::array<InstSeqNum, kStoreEventLogSize> storeEventLog_{};
     std::uint64_t storeEvents_ = 0;
+    /** Instructions squashed so far (the parked units' squash stamp). */
+    std::uint64_t squashedInsts_ = 0;
+    /**
+     * Parked units (see scheduleStage): a unit whose last pass only
+     * met loads still blocked, with the store-event count, the pushes
+     * into the unit and the squash count at the end of that pass.
+     * While all three are unchanged its next pass is known in advance.
+     */
+    struct ParkedUnit
+    {
+        bool parked = false;
+        std::uint64_t storeEvents = 0;
+        std::uint64_t pushes = 0;
+        std::uint64_t squashedInsts = 0;
+    };
+    std::vector<ParkedUnit> parkedUnits_;
     /** TCSIM_VERIFY_WINDOW_INDEX=1: run the reference scans alongside
      * every indexed lookup and assert agreement. */
     bool verifyIndexed_ = false;
