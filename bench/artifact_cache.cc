@@ -1,6 +1,5 @@
 #include "bench/artifact_cache.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -64,17 +63,10 @@ wrap(std::string_view key, std::string_view payload)
 
 } // namespace
 
-ArtifactCache::ArtifactCache(std::string dir) : dir_(std::move(dir))
+ArtifactCache::ArtifactCache(const std::string &dir)
 {
-    if (!dir_.empty())
-        store_ = std::make_unique<LocalDirStore>(dir_);
-}
-
-ArtifactCache::ArtifactCache(std::unique_ptr<FragmentStore> store)
-    : store_(std::move(store))
-{
-    if (auto *local = dynamic_cast<LocalDirStore *>(store_.get()))
-        dir_ = local->dir();
+    if (!dir.empty())
+        store_.emplace(dir);
 }
 
 std::string
@@ -91,7 +83,8 @@ ArtifactCache::objectName(std::string_view kind, std::string_view key)
 std::string
 ArtifactCache::pathFor(std::string_view kind, std::string_view key) const
 {
-    return dir_ + "/" + objectName(kind, key);
+    return (store_ ? store_->dir() : std::string()) + "/" +
+           objectName(kind, key);
 }
 
 std::optional<std::string>
@@ -130,7 +123,7 @@ ArtifactCache::store(std::string_view kind, std::string_view key,
     if (!enabled())
         return false;
     // First-wins put: concurrent stores of the same content-addressed
-    // key race benignly (identical bytes), and the backend guarantees
+    // key race benignly (identical bytes), and the store guarantees
     // readers never observe a torn object.
     if (!store_->put(objectName(kind, key), wrap(key, payload)))
         return false;
@@ -163,20 +156,10 @@ ArtifactCache::stats() const
 ArtifactCache &
 ArtifactCache::process()
 {
-    static ArtifactCache cache = [] {
-        const char *spec = std::getenv("TCSIM_CACHE_STORE");
-        if (spec != nullptr && spec[0] != '\0') {
-            if (auto store = openStore(spec))
-                return ArtifactCache(std::move(store));
-            std::fprintf(stderr,
-                         "artifact cache: TCSIM_CACHE_STORE '%s' "
-                         "unusable, cache disabled\n",
-                         spec);
-            return ArtifactCache();
-        }
+    static ArtifactCache cache([] {
         const char *dir = std::getenv("TCSIM_CACHE_DIR");
-        return ArtifactCache(dir != nullptr ? dir : "");
-    }();
+        return std::string(dir != nullptr ? dir : "");
+    }());
     return cache;
 }
 

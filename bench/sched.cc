@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 
 namespace tcsim::bench
 {
@@ -278,12 +279,12 @@ Scheduler::renderStatus(double now) const
 }
 
 std::size_t
-resumeFromStore(Scheduler &sched, FragmentStore &store)
+resumeFromStore(Scheduler &sched, const FragmentStore &store)
 {
     std::size_t resumed = 0;
-    for (const StoreObject &object : store.list("")) {
+    for (const std::string &name : store.list()) {
         const std::optional<FragmentData> fragment =
-            readFragment(store, object.name);
+            readFragment(store, name);
         if (fragment && sched.markCompleted(fragment->hash,
                                             fragment->integers)) {
             ++resumed;
@@ -300,10 +301,16 @@ schedClock()
         .count();
 }
 
+std::string
+farmToken()
+{
+    const char *value = std::getenv("TCSIM_FARM_TOKEN");
+    return value != nullptr ? value : "";
+}
+
 SchedServer::SchedServer(std::vector<WorkUnit> units,
                          SchedOptions options, FragmentStore &store)
-    : store_(store), storeServer_(store),
-      sched_(std::move(units), options),
+    : store_(store), sched_(std::move(units), options),
       matrixHash_(bench::matrixHash(sched_.units())),
       resumed_(resumeFromStore(sched_, store))
 {
@@ -312,9 +319,6 @@ SchedServer::SchedServer(std::vector<WorkUnit> units,
 obs::HttpResponse
 SchedServer::handle(const obs::HttpRequest &request)
 {
-    if (StoreServer::routes(request))
-        return storeServer_.handle(request);
-
     const double now = schedClock();
     const std::string worker = obs::httpQueryParam(request.query, "worker");
     const std::string hash = obs::httpQueryParam(request.query, "hash");

@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "bench/store.h"
-#include "bench/store_server.h"
 #include "bench/sweep.h"
 #include "obs/http.h"
 
@@ -206,10 +205,14 @@ class Scheduler
  * their units stay pending.
  * @return the number of units resumed.
  */
-std::size_t resumeFromStore(Scheduler &sched, FragmentStore &store);
+std::size_t resumeFromStore(Scheduler &sched, const FragmentStore &store);
 
 /** Seconds on the steady clock: SchedServer's time base. */
 double schedClock();
+
+/** The farm bearer token shared by tcsim_sched and its pull workers:
+ * TCSIM_FARM_TOKEN, empty when unset. */
+std::string farmToken();
 
 /**
  * The scheduler's HTTP routes, served by tcsim_sched behind
@@ -225,8 +228,6 @@ double schedClock();
  *                            merge and persist it to the store
  *   GET  /status             the tcsim-sched-status-v1 document
  *   GET  /partial            the rolling tcsim-bench-partial-v1
- *   /obj/..., /manifest      the object-store shim over the same
- *                            store (bench/store_server.h)
  *
  * Every Scheduler access holds one mutex, so handle() is safe to call
  * from the server thread while the owner ticks and renders.
@@ -251,7 +252,6 @@ class SchedServer
 
     std::size_t resumed() const { return resumed_; }
     const std::string &matrixHash() const { return matrixHash_; }
-    StoreServer &storeServer() { return storeServer_; }
 
   private:
     obs::HttpResponse lease(const std::string &worker, double now);
@@ -260,7 +260,6 @@ class SchedServer
                                const std::string &body, double now);
 
     FragmentStore &store_;
-    StoreServer storeServer_;
     std::mutex mutex_;
     Scheduler sched_;
     std::string matrixHash_;

@@ -1,18 +1,11 @@
 #include "bench/store.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include <unistd.h>
-
-#include "common/json.h"
-#include "obs/http.h"
+#include "common/atomic_file.h"
 
 namespace tcsim::bench
 {
@@ -55,18 +48,14 @@ isValidStoreName(std::string_view name)
     return true;
 }
 
-// ---------------------------------------------------------------------
-// LocalDirStore
-// ---------------------------------------------------------------------
-
 std::string
-LocalDirStore::pathFor(const std::string &name) const
+FragmentStore::pathFor(const std::string &name) const
 {
     return dir_ + "/" + name;
 }
 
 bool
-LocalDirStore::put(const std::string &name, std::string_view bytes,
+FragmentStore::put(const std::string &name, std::string_view bytes,
                    bool overwrite)
 {
     if (!isValidStoreName(name))
@@ -78,34 +67,11 @@ LocalDirStore::put(const std::string &name, std::string_view bytes,
         return false;
     if (!overwrite && fs::exists(path, ec))
         return true; // first-wins: the racing duplicate is dropped
-
-    // Unique temp name per process and store, then an atomic rename:
-    // concurrent writers race benignly and a writer killed mid-store
-    // leaves only a .tmp file that is never read back.
-    static std::atomic<std::uint64_t> counter{0};
-    std::string tmp = path;
-    tmp += ".tmp.";
-    tmp += std::to_string(::getpid());
-    tmp += '.';
-    tmp += std::to_string(counter.fetch_add(1));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-        if (!out) {
-            fs::remove(tmp, ec);
-            return false;
-        }
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        return false;
-    }
-    return true;
+    return writeFileAtomic(path, bytes);
 }
 
 std::optional<std::string>
-LocalDirStore::get(const std::string &name)
+FragmentStore::get(const std::string &name) const
 {
     if (!isValidStoreName(name))
         return std::nullopt;
@@ -120,7 +86,7 @@ LocalDirStore::get(const std::string &name)
 }
 
 bool
-LocalDirStore::exists(const std::string &name)
+FragmentStore::exists(const std::string &name) const
 {
     if (!isValidStoreName(name))
         return false;
@@ -129,7 +95,7 @@ LocalDirStore::exists(const std::string &name)
 }
 
 bool
-LocalDirStore::remove(const std::string &name)
+FragmentStore::remove(const std::string &name)
 {
     if (!isValidStoreName(name))
         return false;
@@ -138,174 +104,22 @@ LocalDirStore::remove(const std::string &name)
     return !fs::exists(pathFor(name), ec);
 }
 
-std::vector<StoreObject>
-LocalDirStore::list(const std::string &prefix)
+std::vector<std::string>
+FragmentStore::list() const
 {
-    std::vector<StoreObject> objects;
-    // The prefix's directory part picks the scan root; in-flight .tmp
-    // files are invisible (their names never validate).
-    const std::size_t slash = prefix.find('/');
-    const std::string subdir =
-        slash == std::string::npos ? "" : prefix.substr(0, slash);
-    const std::string root = subdir.empty() ? dir_ : dir_ + "/" + subdir;
-
-    const auto now_fs = fs::file_time_type::clock::now();
+    // In-flight temp files are invisible: their names never validate.
+    // A file that vanishes mid-scan is skipped, not an end to the scan.
+    std::vector<std::string> names;
     std::error_code ec;
-    for (fs::directory_iterator it(root, ec), end; !ec && it != end;
+    for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
          it.increment(ec)) {
-        if (!it->is_regular_file(ec))
-            continue;
         std::string name = it->path().filename().string();
-        if (!subdir.empty())
-            name = subdir + "/" + name;
-        if (!isValidStoreName(name) || name.rfind(prefix, 0) != 0)
-            continue;
-        StoreObject object;
-        object.name = std::move(name);
-        object.size = static_cast<std::uint64_t>(it->file_size(ec));
-        const auto mtime = fs::last_write_time(it->path(), ec);
-        if (!ec) {
-            object.ageSeconds = std::max(
-                0.0,
-                std::chrono::duration<double>(now_fs - mtime).count());
-        }
-        objects.push_back(std::move(object));
+        std::error_code type_ec;
+        if (isValidStoreName(name) && it->is_regular_file(type_ec))
+            names.push_back(std::move(name));
     }
-    std::sort(objects.begin(), objects.end(),
-              [](const StoreObject &a, const StoreObject &b) {
-                  return a.name < b.name;
-              });
-    return objects;
-}
-
-// ---------------------------------------------------------------------
-// HttpStore
-// ---------------------------------------------------------------------
-
-std::string
-HttpStore::describe() const
-{
-    return "http://" + host_ + ":" + std::to_string(port_);
-}
-
-bool
-HttpStore::put(const std::string &name, std::string_view bytes,
-               bool overwrite)
-{
-    if (!isValidStoreName(name))
-        return false;
-    std::string path = "/obj/" + name;
-    if (overwrite)
-        path += "?overwrite=1";
-    const auto result =
-        obs::httpRequest(host_, port_, "PUT", path, token_, bytes);
-    return result && (result->status == 200 || result->status == 201);
-}
-
-std::optional<std::string>
-HttpStore::get(const std::string &name)
-{
-    if (!isValidStoreName(name))
-        return std::nullopt;
-    const auto result =
-        obs::httpRequest(host_, port_, "GET", "/obj/" + name, token_);
-    if (!result || result->status != 200)
-        return std::nullopt;
-    return result->body;
-}
-
-bool
-HttpStore::exists(const std::string &name)
-{
-    if (!isValidStoreName(name))
-        return false;
-    const auto result =
-        obs::httpRequest(host_, port_, "HEAD", "/obj/" + name, token_);
-    return result && result->status == 200;
-}
-
-bool
-HttpStore::remove(const std::string &name)
-{
-    if (!isValidStoreName(name))
-        return false;
-    const auto result =
-        obs::httpRequest(host_, port_, "DELETE", "/obj/" + name, token_);
-    return result && (result->status == 200 || result->status == 404);
-}
-
-std::vector<StoreObject>
-HttpStore::list(const std::string &prefix)
-{
-    std::vector<StoreObject> objects;
-    const auto result = obs::httpRequest(
-        host_, port_, "GET", "/manifest?prefix=" + prefix, token_);
-    if (!result || result->status != 200)
-        return objects;
-    const std::optional<json::Value> doc = json::parse(result->body);
-    if (!doc || !doc->isObject() ||
-        doc->getString("schema") != "tcsim-store-manifest-v1") {
-        return objects;
-    }
-    const json::Value *rows = doc->find("objects");
-    if (rows == nullptr || !rows->isArray())
-        return objects;
-    for (const json::Value &row : rows->items()) {
-        if (!row.isObject())
-            continue;
-        StoreObject object;
-        object.name = row.getString("name");
-        object.size = row.getUint64("size");
-        object.ageSeconds = row.getDouble("age_seconds");
-        if (isValidStoreName(object.name))
-            objects.push_back(std::move(object));
-    }
-    std::sort(objects.begin(), objects.end(),
-              [](const StoreObject &a, const StoreObject &b) {
-                  return a.name < b.name;
-              });
-    return objects;
-}
-
-// ---------------------------------------------------------------------
-// openStore
-// ---------------------------------------------------------------------
-
-std::string
-farmToken()
-{
-    const char *value = std::getenv("TCSIM_FARM_TOKEN");
-    return value != nullptr ? value : "";
-}
-
-std::unique_ptr<FragmentStore>
-openStore(const std::string &spec)
-{
-    if (spec.rfind("http://", 0) == 0) {
-        std::string host;
-        std::uint16_t port = 0;
-        if (!obs::parseHttpUrl(spec, host, port)) {
-            std::fprintf(stderr,
-                         "store: malformed spec '%s' (want "
-                         "http://host:port)\n",
-                         spec.c_str());
-            return nullptr;
-        }
-        const std::string token = farmToken();
-        if (token.empty()) {
-            std::fprintf(stderr,
-                         "store: %s needs a bearer token (set "
-                         "TCSIM_FARM_TOKEN)\n",
-                         spec.c_str());
-            return nullptr;
-        }
-        return std::make_unique<HttpStore>(host, port, token);
-    }
-    if (spec.empty()) {
-        std::fprintf(stderr, "store: empty spec\n");
-        return nullptr;
-    }
-    return std::make_unique<LocalDirStore>(spec);
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 } // namespace tcsim::bench

@@ -1,47 +1,34 @@
 /**
  * @file
- * Pluggable fragment/artifact storage for the sweep farm.
+ * The fragment store: the one directory where the sweep farm persists
+ * result fragments and cached artifacts (program images, predictor
+ * checkpoints, BBV profiles, warm states) as named blobs under
+ * content-hashed names.
  *
- * Everything the farm persists — result fragments and
- * cached artifacts (program images, predictor checkpoints, BBV
- * profiles, warm states) — is a named blob under content-hashed
- * names. FragmentStore abstracts where those blobs live:
+ * Store semantics:
  *
- *  - LocalDirStore: a directory on the local filesystem. This is the
- *    default and is byte-for-byte the historical fragments-dir /
- *    cache-dir behavior (same paths, same atomic temp+rename
- *    discipline), so existing workflows need zero configuration
- *    changes.
- *
- *  - HttpStore: a client for the object-store shim (bench/store_server,
- *    served standalone or embedded in tcsim_sched), so workers on
- *    different hosts share one fragment/artifact namespace over plain
- *    HTTP with bearer-token auth.
- *
- * Store semantics shared by both backends:
- *
- *  - put() is atomic: a reader never observes a torn object.
- *  - By default put() is first-wins: overwriting an existing object is
- *    a successful no-op (content-hashed names mean a racing duplicate
- *    carries the same canonical payload — this is the dedup point for
- *    fragments from re-dispatched stragglers). Pass overwrite=true
- *    only to replace an object that failed validation (the
- *    scheduler healing a torn fragment).
+ *  - put() is atomic (writeFileAtomic: unique temp + rename): a reader
+ *    never observes a torn object, and a writer killed mid-store
+ *    leaves only a temp file whose name never validates.
+ *  - By default put() is first-wins: storing over an existing object
+ *    is a successful no-op (content-hashed names mean a racing
+ *    duplicate carries the same canonical payload — this is the dedup
+ *    point for fragments from re-dispatched stragglers). Pass
+ *    overwrite=true only to replace an object that failed validation
+ *    (the scheduler healing a torn fragment).
  *  - Names are restricted to [A-Za-z0-9._-] with at most one '/'
- *    separator ("kind/object"), rejecting path traversal at the
- *    interface instead of trusting callers.
+ *    separator ("kind/object"), rejecting path traversal here instead
+ *    of trusting callers: the scheduler turns a network-supplied hash
+ *    into a store name.
  *
  * Blob integrity is the layer above: fragments embed their unit hash
  * and artifacts carry the TCARTFC1 checksum wrapper, so a corrupted
- * object is detected and rejected by the consumer no matter which
- * backend served it.
+ * object is detected and rejected by its consumer.
  */
 
 #ifndef TCSIM_BENCH_STORE_H
 #define TCSIM_BENCH_STORE_H
 
-#include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -50,65 +37,35 @@
 namespace tcsim::bench
 {
 
-/** One manifest row: an object's name plus cheap metadata. */
-struct StoreObject
-{
-    std::string name;
-    std::uint64_t size = 0;
-    /** Seconds since the object was last written (mtime age for the
-     * local backend; server-measured for HTTP). */
-    double ageSeconds = 0.0;
-};
-
 /** @return whether @p name is a valid store object name. */
 bool isValidStoreName(std::string_view name);
 
-/** The storage interface the sweep/scheduler/cache layers talk to. */
+/** A directory of named objects; see the file comment. */
 class FragmentStore
 {
   public:
-    virtual ~FragmentStore() = default;
+    explicit FragmentStore(std::string dir) : dir_(std::move(dir)) {}
 
     /**
      * Atomically store @p bytes under @p name. First-wins unless
      * @p overwrite: storing over an existing object succeeds without
-     * touching it. @return false on I/O or transport failure.
+     * touching it. @return false on an invalid name or I/O failure.
      */
-    virtual bool put(const std::string &name, std::string_view bytes,
-                     bool overwrite = false) = 0;
+    bool put(const std::string &name, std::string_view bytes,
+             bool overwrite = false);
 
     /** @return the object's bytes, or empty optional when absent. */
-    virtual std::optional<std::string> get(const std::string &name) = 0;
+    std::optional<std::string> get(const std::string &name) const;
 
-    virtual bool exists(const std::string &name) = 0;
+    bool exists(const std::string &name) const;
 
     /** Remove @p name (used to drop corrupt artifacts). @return true
      * when the object is gone afterwards (also when it never was). */
-    virtual bool remove(const std::string &name) = 0;
+    bool remove(const std::string &name);
 
-    /**
-     * All objects whose name starts with @p prefix, sorted by name.
-     * Metadata is best-effort (age 0 when the backend cannot say).
-     */
-    virtual std::vector<StoreObject> list(const std::string &prefix) = 0;
-
-    /** Human-readable location ("/path/to/dir", "http://host:port"). */
-    virtual std::string describe() const = 0;
-};
-
-/** The historical directory-backed store. */
-class LocalDirStore : public FragmentStore
-{
-  public:
-    explicit LocalDirStore(std::string dir) : dir_(std::move(dir)) {}
-
-    bool put(const std::string &name, std::string_view bytes,
-             bool overwrite = false) override;
-    std::optional<std::string> get(const std::string &name) override;
-    bool exists(const std::string &name) override;
-    bool remove(const std::string &name) override;
-    std::vector<StoreObject> list(const std::string &prefix) override;
-    std::string describe() const override { return dir_; }
+    /** The names of all top-level objects ("kind/" subdirectories
+     * are not scanned), sorted. */
+    std::vector<std::string> list() const;
 
     const std::string &dir() const { return dir_; }
 
@@ -116,40 +73,6 @@ class LocalDirStore : public FragmentStore
     std::string pathFor(const std::string &name) const;
     std::string dir_;
 };
-
-/** Client for the HTTP object-store shim (see bench/store_server.h). */
-class HttpStore : public FragmentStore
-{
-  public:
-    HttpStore(std::string host, std::uint16_t port, std::string token)
-        : host_(std::move(host)), port_(port), token_(std::move(token))
-    {
-    }
-
-    bool put(const std::string &name, std::string_view bytes,
-             bool overwrite = false) override;
-    std::optional<std::string> get(const std::string &name) override;
-    bool exists(const std::string &name) override;
-    bool remove(const std::string &name) override;
-    std::vector<StoreObject> list(const std::string &prefix) override;
-    std::string describe() const override;
-
-  private:
-    std::string host_;
-    std::uint16_t port_;
-    std::string token_;
-};
-
-/** The farm bearer token: TCSIM_FARM_TOKEN, empty when unset. */
-std::string farmToken();
-
-/**
- * Open a store from a spec: "http://host:port" yields an HttpStore
- * (authenticated with farmToken()); anything else is a local
- * directory. @return null with a message on stderr for a malformed
- * http spec or (http only) a missing token.
- */
-std::unique_ptr<FragmentStore> openStore(const std::string &spec);
 
 } // namespace tcsim::bench
 

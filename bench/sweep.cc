@@ -1136,7 +1136,7 @@ parseFragmentBytes(const std::string &bytes, FragmentData &out)
 }
 
 std::optional<FragmentData>
-readFragment(FragmentStore &store, const std::string &name)
+readFragment(const FragmentStore &store, const std::string &name)
 {
     // Checked before fetching: the store may also hold multi-MB
     // artifacts, which are never fragments.

@@ -296,8 +296,8 @@ bool parseFragmentBytes(const std::string &bytes, FragmentData &out);
  * @return the parsed fragment; empty for an absent, torn, truncated,
  * renamed or non-fragment object.
  */
-std::optional<FragmentData> readFragment(FragmentStore &store,
-                                         const std::string &name);
+std::optional<FragmentData>
+readFragment(const FragmentStore &store, const std::string &name);
 
 } // namespace tcsim::bench
 

@@ -18,8 +18,9 @@ namespace tcsim::obs
 namespace
 {
 
-/** Hard cap on one request or response body: fragments are KBs, warm
- * artifacts are MBs — 256 MB is far beyond anything legitimate. */
+/** Hard cap on one request or response body: fragments are KBs and
+ * the partial document grows with the matrix — 256 MB is far beyond
+ * anything legitimate. */
 constexpr std::size_t kMaxBodyBytes = 256u * 1024 * 1024;
 
 void
@@ -131,8 +132,6 @@ httpStatusText(int status)
     switch (status) {
     case 200:
         return "OK";
-    case 201:
-        return "Created";
     case 204:
         return "No Content";
     case 400:

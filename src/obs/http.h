@@ -1,16 +1,16 @@
 /**
  * @file
- * Minimal shared HTTP plumbing for the farm's LAN/CI endpoints: the
- * object-store shim and the sweep scheduler both speak the same tiny
- * dialect through this module instead of each owning a socket loop.
+ * Minimal HTTP plumbing for the sweep farm: the scheduler
+ * (tcsim_sched) serves its lease routes through HttpServer, and pull
+ * workers call them through httpRequest, instead of each owning a
+ * socket loop.
  *
  * Scope is deliberately small: HTTP/1.0, one request per connection,
  * plain POSIX sockets, no TLS, mandatory bearer-token auth on the
  * server side (a tokenless server is refused by construction, and an
  * unauthorized request learns nothing but "401"). Requests may carry
- * a Content-Length body (the object store PUTs fragment and artifact
- * payloads), capped server-side so a rogue peer cannot balloon the
- * process.
+ * a Content-Length body (workers POST result fragments), capped
+ * server-side so a rogue peer cannot balloon the process.
  */
 
 #ifndef TCSIM_OBS_HTTP_H
@@ -30,7 +30,7 @@ namespace tcsim::obs
 struct HttpRequest
 {
     std::string method; ///< "GET", "PUT", ...
-    std::string path;   ///< decoded path, query string stripped
+    std::string path;   ///< raw path (not percent-decoded), no query
     std::string query;  ///< raw query string (no leading '?')
     std::string body;
 };

@@ -13,7 +13,7 @@
 #     the schedule must recover both units (lease expiry / speculative
 #     re-dispatch), with at least one re-dispatch observed,
 #  5. the streamed-merge document must be byte-identical to the
-#     single-process reference, and the status / partial / manifest
+#     single-process reference, and the status / partial
 #     documents and every stored fragment of the matrix must validate,
 #  6. a scheduler restart over the finished store resumes to done
 #     without leasing anything — which also proves /complete healed
@@ -95,7 +95,6 @@ start_sched "$scratch/port" "${matrix[@]}" \
             --lease-timeout 4 --straggler-k 2 --min-median-samples 2 \
             --partial-out "$scratch/partial.json" \
             --status-out "$scratch/status.json" \
-            --manifest-out "$scratch/manifest.json" \
             --max-seconds 120
 # Every unit hash and id of the matrix is a secret the 401 must keep.
 python3 - "$url" "$TCSIM_FARM_TOKEN" "$matrix_hash" \
@@ -156,7 +155,6 @@ for hash in $(awk 'NR>1 {print $2}' "$scratch/list.txt"); do
 done
 python3 "$validate" --sched-status "$scratch/status.json" \
         --partial "$scratch/partial.json" \
-        --store-manifest "$scratch/manifest.json" \
         --results "$scratch/sched.json" "${fragments[@]}"
 python3 - "$scratch/status.json" <<'EOF'
 import json, sys

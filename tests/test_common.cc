@@ -1,19 +1,26 @@
 /**
  * @file
  * Unit tests for the common utility layer: bit manipulation, random
- * number generation, saturating counters, and statistics.
+ * number generation, saturating counters, statistics, and atomic
+ * file writes.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/atomic_file.h"
 #include "common/bitutils.h"
 #include "common/rng.h"
 #include "common/saturating_counter.h"
 #include "common/stats.h"
+#include "scratch_dir.h"
 
 namespace tcsim
 {
@@ -331,6 +338,37 @@ TEST(Stats, StatDumpRoundTrip)
     dump.print(os);
     EXPECT_NE(os.str().find("a.b"), std::string::npos);
     EXPECT_NE(os.str().find("1.5"), std::string::npos);
+}
+
+// ----------------------------------------------------------------------
+// Atomic file writes.
+// ----------------------------------------------------------------------
+
+TEST(AtomicFile, WritesOverwritesAndLeavesNoTempFile)
+{
+    const testing_util::ScratchDir scratch;
+    const std::string path = scratch.path() + "/doc.json";
+    const auto contents = [&] {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        return bytes.str();
+    };
+
+    ASSERT_TRUE(writeFileAtomic(path, std::string("first\0doc", 9)));
+    EXPECT_EQ(contents(), std::string("first\0doc", 9));
+    ASSERT_TRUE(writeFileAtomic(path, "second"));
+    EXPECT_EQ(contents(), "second");
+
+    // Only the target remains: every temp file was renamed away.
+    std::vector<std::string> names;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(scratch.path()))
+        names.push_back(entry.path().filename().string());
+    EXPECT_EQ(names, std::vector<std::string>{"doc.json"});
+
+    // A write into a missing directory reports failure.
+    EXPECT_FALSE(writeFileAtomic(scratch.path() + "/no/such/dir", "x"));
 }
 
 } // namespace

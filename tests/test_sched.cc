@@ -6,7 +6,8 @@
  * from pre-existing fragments, and byte-identity of the streaming
  * merge against the shared single-process renderer. Then its HTTP
  * routes (SchedServer): bearer-token rejection on /lease and /status,
- * and /complete healing a poisoned store object.
+ * no object-store routes, and /complete healing a poisoned store
+ * object.
  */
 
 #include <string>
@@ -398,8 +399,12 @@ leaksMatrix(const std::string &text, const std::vector<WorkUnit> &units)
 TEST(SchedServer, RejectsWithoutTokenServesWithIt)
 {
     const testing_util::ScratchDir scratch;
-    LocalDirStore store(scratch.path());
+    FragmentStore store(scratch.path());
     const auto units = testUnits();
+    // An object under a unit's name that is no valid fragment, so
+    // resume skips it and the unit stays leasable.
+    const std::string stored = units[0].hash + ".json";
+    ASSERT_TRUE(store.put(stored, "not a fragment"));
     SchedServer service(units, fastOptions(), store);
     obs::HttpServer server;
     ASSERT_TRUE(server.start("127.0.0.1", 0, "hunter2",
@@ -429,6 +434,23 @@ TEST(SchedServer, RejectsWithoutTokenServesWithIt)
         EXPECT_NE(ok->body.find(matrixHash(units)), std::string::npos)
             << ok->body;
     }
+
+    // The scheduler serves no object store: a stored object is not
+    // reachable by name, and there is no manifest. Unauthorized
+    // probes still get a bare 401.
+    for (const std::string &path :
+         {std::string("/manifest"), "/obj/" + stored}) {
+        const std::string missing =
+            requestWithoutToken(server.port(), "GET", path);
+        EXPECT_NE(missing.find(" 401 "), std::string::npos) << missing;
+        EXPECT_FALSE(leaksMatrix(missing, units)) << missing;
+
+        const auto ok = obs::httpRequest("127.0.0.1", server.port(), "GET",
+                                         path, "hunter2");
+        ASSERT_TRUE(ok.has_value()) << path;
+        EXPECT_EQ(ok->status, 404) << path;
+        EXPECT_FALSE(leaksMatrix(ok->body, units)) << ok->body;
+    }
     server.stop();
     // Only the authorized /lease reached the scheduler.
     EXPECT_EQ(service.withScheduler(
@@ -439,7 +461,7 @@ TEST(SchedServer, RejectsWithoutTokenServesWithIt)
 TEST(SchedServer, RefusesEmptyToken)
 {
     const testing_util::ScratchDir scratch;
-    LocalDirStore store(scratch.path());
+    FragmentStore store(scratch.path());
     SchedServer service(testUnits(), fastOptions(), store);
     obs::HttpServer server;
     EXPECT_FALSE(server.start("127.0.0.1", 0, "",
@@ -466,7 +488,7 @@ TEST(SchedServer, CompleteHealsPoisonedObjectFirstWinsOtherwise)
     // the unit's real delivery must replace it. A later valid
     // duplicate must not (first-wins for valid objects).
     const testing_util::ScratchDir scratch;
-    LocalDirStore store(scratch.path());
+    FragmentStore store(scratch.path());
     const auto units = testUnits();
     const std::string name = units[0].hash + ".json";
     ASSERT_TRUE(store.put(name, "{\"schema\": \"tcsim-bench-fragment-v1\"}"));

@@ -365,7 +365,7 @@ TEST(SweepMergeTest, MissingFragmentsReported)
     // unit, the status document counts the rest pending, and the
     // holes are what gets dispatched.
     const testing_util::ScratchDir scratch;
-    LocalDirStore store(scratch.path());
+    FragmentStore store(scratch.path());
     const std::vector<WorkUnit> units = enumerateUnits(smallMatrix());
     putFragment(store, units[0], integersOf(executeUnit(units[0])));
 
@@ -387,7 +387,7 @@ TEST(SweepMergeTest, StaleFragmentsSkippedButMergeCompletes)
     // different content hash) is a valid fragment, but not one of
     // this matrix: resume must ignore it, not fold it.
     const testing_util::ScratchDir scratch;
-    LocalDirStore store(scratch.path());
+    FragmentStore store(scratch.path());
     SweepOptions options = smallMatrix();
     SweepOptions stale_options = options;
     stale_options.warmup = 2000;
@@ -414,7 +414,7 @@ TEST(SweepMergeTest, CorruptFragmentsBlockTheMerge)
     // name: neither counts, so the merge cannot finish until the
     // damaged unit is simulated again.
     const testing_util::ScratchDir scratch;
-    LocalDirStore store(scratch.path());
+    FragmentStore store(scratch.path());
     const std::vector<WorkUnit> units = enumerateUnits(smallMatrix());
     for (const WorkUnit &unit : units)
         putFragment(store, unit, integersOf(executeUnit(unit)));
@@ -437,7 +437,7 @@ TEST(SweepMergeTest, RenamedFragmentIsCorruptNotTrusted)
     // The name stem must match the embedded hash; a renamed object
     // cannot claim another unit's slot.
     const testing_util::ScratchDir scratch;
-    LocalDirStore store(scratch.path());
+    FragmentStore store(scratch.path());
     const std::vector<WorkUnit> units = enumerateUnits(smallMatrix());
     putFragment(store, units[0], integersOf(executeUnit(units[0])),
                 units[1].hash + ".json");
@@ -452,7 +452,7 @@ TEST(SweepMergeTest, TruncatedMidRecordFragmentIsRejected)
     // A torn upload from a dying worker can still be valid JSON: the
     // schema and unit header survive, the result record does not.
     const testing_util::ScratchDir scratch;
-    LocalDirStore store(scratch.path());
+    FragmentStore store(scratch.path());
     const std::vector<WorkUnit> units = enumerateUnits(smallMatrix());
     const std::string torn =
         "{\"schema\": \"tcsim-bench-fragment-v1\",\n"

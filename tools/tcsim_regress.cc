@@ -26,10 +26,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
 
+#include "common/atomic_file.h"
 #include "common/json.h"
 #include "obs/regress.h"
 
@@ -58,24 +58,6 @@ loadDoc(const std::string &path, const char *what)
         std::fprintf(stderr, "cannot read or parse %s '%s'\n", what,
                      path.c_str());
     return doc;
-}
-
-bool
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    if (path == "-") {
-        std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-        return true;
-    }
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        if (!out)
-            return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 } // namespace

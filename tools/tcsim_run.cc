@@ -10,6 +10,10 @@
  *     --threshold <n>       promotion threshold (default 64)
  *     --packing <policy>    atomic | unregulated | cost | n2 | n4
  *     --insts <n>           instruction budget (default 1000000)
+ *     --warmup <n>          run n instructions of detailed warm-up
+ *                           first, then reset statistics, so the
+ *                           reported numbers cover only the --insts
+ *                           that follow (default 0)
  *     --disambiguation <d>  conservative | speculative | perfect
  *     --path-assoc          enable trace-cache path associativity
  *     --no-partial-match    disable partial matching
@@ -87,6 +91,7 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--bench <name>|list] [--config <name>] "
                  "[--threshold <n>] [--packing <policy>] [--insts <n>] "
+                 "[--warmup <n>] "
                  "[--disambiguation <d>] [--path-assoc] "
                  "[--no-partial-match] [--no-inactive-issue] "
                  "[--static-promotion] [--histogram] [--stats] "

@@ -5,20 +5,19 @@
  *
  * Serves the scheduler's authenticated HTTP routes (bench/sched.h
  * SchedServer): the lease protocol driven by `tcsim_sweep --pull`
- * workers, /status and /partial, and the object-store shim on the same
- * port, so workers pull work, push results and share artifacts
- * through one URL.
+ * workers, who pull work and push result fragments (POST /complete)
+ * through one URL, plus /status and /partial. The scheduler persists
+ * every fragment it accepts into its --fragments-dir store.
  *
  * The scheduler exits once every unit of the matrix has a result,
  * after writing the canonical results document — rendered by the same
  * shared renderer as the single-process path, hence byte-identical.
  * Resume is crash-safe: on startup, valid fragments already in the
- * backing store mark their units completed and only the holes are
- * dispatched.
+ * store mark their units completed and only the holes are dispatched.
  *
  * Matrix flags are shared with tcsim_sweep (see tools/matrix_args.h);
  * scheduler flags:
- *   --fragments-dir d     backing store directory (required)
+ *   --fragments-dir d     fragment store directory (required)
  *   --out f               final canonical results document (required)
  *   --bind a              bind address (default 127.0.0.1)
  *   --port n              TCP port (default 0 = ephemeral)
@@ -28,7 +27,6 @@
  *   --min-median-samples n  completions before the median is trusted
  *   --partial-out f       rolling partial document (rewritten live)
  *   --status-out f        status document (rewritten live + at exit)
- *   --manifest-out f      store manifest document written at exit
  *   --max-seconds sec     abort (exit 5) if not done in time
  *
  * Auth: TCSIM_FARM_TOKEN must be set; workers present the same token.
@@ -37,13 +35,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 
 #include "bench/sched.h"
 #include "bench/store.h"
 #include "bench/sweep.h"
+#include "common/atomic_file.h"
 #include "tools/matrix_args.h"
 
 namespace
@@ -60,26 +58,12 @@ usage(const char *argv0)
                  "  [--lease-timeout sec] [--straggler-k f] "
                  "[--min-median-samples n]\n"
                  "  [--partial-out f] [--status-out f] "
-                 "[--manifest-out f] [--max-seconds sec]\n"
+                 "[--max-seconds sec]\n"
                  "  [matrix flags: --benchmarks --configs --insts "
                  "--warmup --insts-for\n"
                  "   --sampled-interval --sampled-max-k --replay]\n",
                  argv0);
     std::exit(1);
-}
-
-bool
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        if (!out)
-            return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 } // namespace
@@ -88,7 +72,7 @@ int
 main(int argc, char **argv)
 {
     std::string fragments_dir, out_path, partial_out, status_out;
-    std::string manifest_out, port_file, bind_addr = "127.0.0.1";
+    std::string port_file, bind_addr = "127.0.0.1";
     long port = 0;
     double max_seconds = 0.0;
     bench::SchedOptions sched_options;
@@ -125,8 +109,6 @@ main(int argc, char **argv)
             partial_out = next();
         } else if (arg == "--status-out") {
             status_out = next();
-        } else if (arg == "--manifest-out") {
-            manifest_out = next();
         } else if (arg == "--max-seconds") {
             max_seconds = std::strtod(next(), nullptr);
         } else {
@@ -145,7 +127,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    bench::LocalDirStore store(fragments_dir);
+    bench::FragmentStore store(fragments_dir);
     bench::SchedServer service(bench::enumerateUnits(matrix.options),
                                sched_options, store);
     const std::size_t units = service.withScheduler(
@@ -214,11 +196,6 @@ main(int argc, char **argv)
     // partial documents are rewritten one last time so post-mortem
     // tooling (validate_obs.py, CI assertions) sees the end state.
     writeLiveDocs(bench::schedClock());
-    if (!manifest_out.empty() &&
-        !writeFileAtomic(manifest_out,
-                         service.storeServer().renderManifest(""))) {
-        std::fprintf(stderr, "cannot write %s\n", manifest_out.c_str());
-    }
     server.stop();
 
     // The server thread is joined: the scheduler is ours alone now.

@@ -18,11 +18,10 @@
  *       Pulled worker mode: lease units from a tcsim_sched at
  *       http://host:port (matrix flags must match the scheduler's —
  *       the lease handshake verifies the matrix hash), execute each
- *       under a renewed lease, and POST the fragment back. Fragments
- *       and (with TCSIM_CACHE_STORE) artifacts flow through the
- *       scheduler's combined endpoint, so a pulled worker needs no
- *       shared filesystem. Requires TCSIM_FARM_TOKEN. run_benches.sh
- *       --sweep N starts a scheduler plus N of these.
+ *       under a renewed lease, and POST the fragment back, so
+ *       fragments need no shared filesystem; artifacts are cached in
+ *       the worker's own TCSIM_CACHE_DIR. Requires TCSIM_FARM_TOKEN.
+ *       run_benches.sh --sweep N starts a scheduler plus N of these.
  *
  * Matrix options (must match between workers and the scheduler;
  * parsed by the shared tools/matrix_args.h, so tcsim_sweep and
@@ -92,7 +91,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -102,8 +100,9 @@
 #include <unistd.h>
 
 #include "bench/artifact_cache.h"
-#include "bench/store.h"
+#include "bench/sched.h"
 #include "bench/sweep.h"
+#include "common/atomic_file.h"
 #include "common/json.h"
 #include "obs/http.h"
 #include "tools/matrix_args.h"
@@ -128,24 +127,6 @@ usage(const char *argv0)
                  "[--die-mid-unit k] [--inject-slow-ms n]\n",
                  argv0);
     std::exit(1);
-}
-
-bool
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    if (path == "-") {
-        std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-        return true;
-    }
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        if (!out)
-            return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 struct TimedUnit
@@ -432,10 +413,8 @@ main(int argc, char **argv)
             usage(argv[0]);
         }
     }
-    if (no_cache) {
+    if (no_cache)
         unsetenv("TCSIM_CACHE_DIR");
-        unsetenv("TCSIM_CACHE_STORE");
-    }
     if (!matrix.finalize())
         return 1;
     bench::SweepOptions &options = matrix.options;

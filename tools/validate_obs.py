@@ -13,7 +13,6 @@ Checks any combination of:
   --error-report PATH  tcsim-sampling-error-v1 sampled-vs-full report
   --regression PATH    tcsim-regression-v1 perf-gate verdict
   --sched-status PATH  tcsim-sched-status-v1 scheduler status
-  --store-manifest PATH tcsim-store-manifest-v1 object-store listing
   --partial PATH       tcsim-bench-partial-v1 rolling sweep results
   --btrace PATH        tcsim-btrace-v1 binary branch/fetch trace
 
@@ -468,38 +467,6 @@ def validate_sched_status(path):
     return True
 
 
-def validate_store_manifest(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            return fail(path, f"invalid JSON: {err}")
-    if doc.get("schema") != "tcsim-store-manifest-v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    for key in ("store", "prefix"):
-        if not isinstance(doc.get(key), str):
-            return fail(path, f"{key}={doc.get(key)!r} not a string")
-    objects = doc.get("objects")
-    if not isinstance(objects, list):
-        return fail(path, "objects not an array")
-    names = []
-    for i, obj in enumerate(objects):
-        if set(obj) != {"name", "size", "age_seconds"}:
-            return fail(path, f"object {i}: keys {sorted(obj)}")
-        if not isinstance(obj["name"], str) or not obj["name"]:
-            return fail(path, f"object {i}: bad name {obj['name']!r}")
-        if not isinstance(obj["size"], int) or obj["size"] < 0:
-            return fail(path, f"object {i}: bad size {obj['size']!r}")
-        if not isinstance(obj["age_seconds"], (int, float)):
-            return fail(path, f"object {i}: bad age")
-        names.append(obj["name"])
-    if names != sorted(names):
-        return fail(path, "objects not sorted by name")
-    print(f"validate_obs: {path}: OK ({len(objects)} objects in "
-          f"{doc['store']})")
-    return True
-
-
 def validate_partial(path):
     with open(path, encoding="utf-8") as handle:
         try:
@@ -653,15 +620,13 @@ def main():
     parser.add_argument("--error-report", action="append", default=[])
     parser.add_argument("--regression", action="append", default=[])
     parser.add_argument("--sched-status", action="append", default=[])
-    parser.add_argument("--store-manifest", action="append", default=[])
     parser.add_argument("--partial", action="append", default=[])
     parser.add_argument("--btrace", action="append", default=[])
     args = parser.parse_args()
     if not (args.trace_jsonl or args.chrome or args.intervals
             or args.fragment or args.results or args.bbv
             or args.simpoints or args.error_report or args.regression
-            or args.sched_status
-            or args.store_manifest or args.partial or args.btrace):
+            or args.sched_status or args.partial or args.btrace):
         parser.error("nothing to validate")
     ok = True
     for path in args.trace_jsonl:
@@ -684,8 +649,6 @@ def main():
         ok &= validate_regression(path)
     for path in args.sched_status:
         ok &= validate_sched_status(path)
-    for path in args.store_manifest:
-        ok &= validate_store_manifest(path)
     for path in args.partial:
         ok &= validate_partial(path)
     for path in args.btrace:
