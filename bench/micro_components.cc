@@ -10,6 +10,7 @@
 #include "bpred/bias_table.h"
 #include "bpred/hybrid.h"
 #include "bpred/multi.h"
+#include "core/inst_ring.h"
 #include "core/rename_overlay.h"
 #include "memory/cache.h"
 #include "sim/processor.h"
@@ -284,6 +285,29 @@ BM_FunctionalExecution(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FunctionalExecution);
+
+void
+BM_InstRingAllocate(benchmark::State &state)
+{
+    // Dispatch-and-retire cost of one window slot: a 512-slot ring
+    // (the default ROB) held at 384 in flight allocates one fetched
+    // instruction and retires the oldest per iteration.
+    core::InstRing ring(512);
+    fetch::FetchedInst fetched;
+    fetched.inst = {isa::Opcode::Add, 3, 1, 2, 0};
+    fetched.pc = 0x1000;
+    for (unsigned i = 0; i < 384; ++i)
+        ring.allocate(fetched);
+    for (auto _ : state) {
+        fetched.pc += isa::kInstBytes;
+        core::DynInst &di = ring.allocate(fetched);
+        benchmark::DoNotOptimize(&di);
+        ring.popFront();
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InstRingAllocate);
 
 void
 BM_ProcessorSimulation(benchmark::State &state)

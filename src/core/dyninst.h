@@ -11,6 +11,7 @@
 #define TCSIM_CORE_DYNINST_H
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -20,9 +21,13 @@
 namespace tcsim::core
 {
 
-/** One in-flight instruction: the fetched instruction (its
- * speculation state included) plus the core's own state. */
-struct DynInst : fetch::FetchedInst
+/**
+ * The core's own state of one in-flight instruction: everything but
+ * the fetched instruction and the waiters list. Trivially copyable, so
+ * InstRing resets a recycled slot's state with one plain copy of the
+ * default, written in place with no stack temporary.
+ */
+struct DynState
 {
     // ------------------------------------------------------------------
     // Identity.
@@ -52,8 +57,6 @@ struct DynInst : fetch::FetchedInst
     bool srcReady[2] = {true, true};
     RegVal srcVal[2] = {0, 0};
     InstSeqNum srcDep[2] = {kInvalidSeqNum, kInvalidSeqNum};
-    /** Consumers waiting on this instruction's result. */
-    std::vector<InstSeqNum> waiters;
 
     std::uint8_t rsTable = 0;
     bool inReadyQueue = false;
@@ -81,25 +84,20 @@ struct DynInst : fetch::FetchedInst
      * re-issues the request). */
     bool recoveryApplied = false;
     Cycle resolveCycle = 0;
+};
+
+static_assert(std::is_trivially_copyable_v<DynState>);
+
+/** One in-flight instruction: the fetched instruction (its
+ * speculation state included) plus the core's own state. */
+struct DynInst : fetch::FetchedInst, DynState
+{
+    /** Consumers waiting on this instruction's result. */
+    std::vector<InstSeqNum> waiters;
 
     bool isLoad() const { return isa::isLoad(inst.op); }
     bool isStore() const { return isa::isStore(inst.op); }
     bool isCondBranch() const { return isa::isCondBranch(inst.op); }
-
-    /**
-     * Reinitialize a recycled storage slot for sequence number
-     * @p new_seq, keeping the waiters allocation so slot reuse does
-     * not reallocate on every dispatched instruction.
-     */
-    void
-    reset(InstSeqNum new_seq)
-    {
-        std::vector<InstSeqNum> recycled = std::move(waiters);
-        recycled.clear();
-        *this = DynInst{};
-        waiters = std::move(recycled);
-        seq = new_seq;
-    }
 };
 
 } // namespace tcsim::core

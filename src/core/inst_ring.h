@@ -88,17 +88,22 @@ class InstRing
         return lo;
     }
 
-    /** Append a fresh instruction after the tail. */
+    /** Append the fetched instruction @p fetched after the tail, with
+     * default core state and an empty waiters list. */
     DynInst &
-    allocate()
+    allocate(const fetch::FetchedInst &fetched)
     {
         TCSIM_ASSERT(count_ < slots_.size(), "instruction ring full");
         if (count_ == 0)
             head_ = nextSeq_ & mask_;
         else
             nextSeq_ += (back().seq + 1 - nextSeq_) & mask_;
+        // Written in place; the waiters list keeps its allocation.
         DynInst &slot = slots_[nextSeq_ & mask_];
-        slot.reset(nextSeq_);
+        static_cast<fetch::FetchedInst &>(slot) = fetched;
+        static_cast<DynState &>(slot) = freshState_;
+        slot.seq = nextSeq_;
+        slot.waiters.clear();
         ++nextSeq_;
         ++count_;
         return slot;
@@ -125,6 +130,10 @@ class InstRing
 
   private:
     std::vector<DynInst> slots_;
+    /** The default core state, copied into each allocated slot. A
+     * copy from memory compiles to 16-byte moves; assigning
+     * DynState{} compiles to a slower `rep stos` at this size. */
+    const DynState freshState_{};
     std::size_t mask_ = 0;
     std::size_t head_ = 0;  ///< slot of the oldest live instruction
     std::size_t count_ = 0; ///< live instructions

@@ -12,37 +12,6 @@ namespace tcsim::isa
 namespace
 {
 
-/** Encoding format families. */
-enum class Format { R, I, B, J, JR, None };
-
-Format
-formatOf(Opcode op)
-{
-    switch (op) {
-      case Opcode::Add: case Opcode::Sub: case Opcode::Mul:
-      case Opcode::Div: case Opcode::And: case Opcode::Or:
-      case Opcode::Xor: case Opcode::Sll: case Opcode::Srl:
-      case Opcode::Sra: case Opcode::Slt: case Opcode::Sltu:
-        return Format::R;
-      case Opcode::Addi: case Opcode::Andi: case Opcode::Ori:
-      case Opcode::Xori: case Opcode::Slli: case Opcode::Srli:
-      case Opcode::Slti: case Opcode::Lui:
-      case Opcode::Ld: case Opcode::St:
-        return Format::I;
-      case Opcode::Beq: case Opcode::Bne: case Opcode::Blt:
-      case Opcode::Bge: case Opcode::Bltu: case Opcode::Bgeu:
-        return Format::B;
-      case Opcode::J: case Opcode::Call:
-        return Format::J;
-      case Opcode::Jr: case Opcode::Ret:
-        return Format::JR;
-      case Opcode::Trap: case Opcode::Halt: case Opcode::Nop:
-        return Format::None;
-      default:
-        panic("formatOf: bad opcode %u", static_cast<unsigned>(op));
-    }
-}
-
 constexpr std::array<const char *,
                      static_cast<std::size_t>(Opcode::NumOpcodes)>
     kOpcodeNames = {
@@ -209,72 +178,6 @@ disassemble(const Instruction &inst, Addr pc)
         break;
     }
     return os.str();
-}
-
-InstClass
-instClass(Opcode op)
-{
-    switch (op) {
-      case Opcode::Mul:
-        return InstClass::IntMult;
-      case Opcode::Div:
-        return InstClass::IntDiv;
-      case Opcode::Ld:
-        return InstClass::Load;
-      case Opcode::St:
-        return InstClass::Store;
-      case Opcode::Trap:
-      case Opcode::Halt:
-        return InstClass::Serialize;
-      default:
-        return isControl(op) ? InstClass::Control : InstClass::IntAlu;
-    }
-}
-
-bool
-writesReg(const Instruction &inst)
-{
-    if (inst.rd == kRegZero)
-        return false;
-    switch (formatOf(inst.op)) {
-      case Format::R:
-        return true;
-      case Format::I:
-        return inst.op != Opcode::St;
-      case Format::J:
-        return inst.op == Opcode::Call;
-      default:
-        return false;
-    }
-}
-
-bool
-readsRs1(const Instruction &inst)
-{
-    switch (formatOf(inst.op)) {
-      case Format::R:
-      case Format::B:
-      case Format::JR:
-        return true;
-      case Format::I:
-        return inst.op != Opcode::Lui;
-      default:
-        return false;
-    }
-}
-
-bool
-readsRs2(const Instruction &inst)
-{
-    switch (formatOf(inst.op)) {
-      case Format::R:
-      case Format::B:
-        return true;
-      case Format::I:
-        return inst.op == Opcode::St;
-      default:
-        return false;
-    }
 }
 
 Addr

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/log.h"
 #include "common/types.h"
 
 namespace tcsim::isa
@@ -62,6 +63,38 @@ enum class Opcode : std::uint8_t
 
     NumOpcodes
 };
+
+/** Encoding format families (see the file comment). */
+enum class Format : std::uint8_t { R, I, B, J, JR, None };
+
+/** @return the encoding format of @p op. */
+inline Format
+formatOf(Opcode op)
+{
+    switch (op) {
+      case Opcode::Add: case Opcode::Sub: case Opcode::Mul:
+      case Opcode::Div: case Opcode::And: case Opcode::Or:
+      case Opcode::Xor: case Opcode::Sll: case Opcode::Srl:
+      case Opcode::Sra: case Opcode::Slt: case Opcode::Sltu:
+        return Format::R;
+      case Opcode::Addi: case Opcode::Andi: case Opcode::Ori:
+      case Opcode::Xori: case Opcode::Slli: case Opcode::Srli:
+      case Opcode::Slti: case Opcode::Lui:
+      case Opcode::Ld: case Opcode::St:
+        return Format::I;
+      case Opcode::Beq: case Opcode::Bne: case Opcode::Blt:
+      case Opcode::Bge: case Opcode::Bltu: case Opcode::Bgeu:
+        return Format::B;
+      case Opcode::J: case Opcode::Call:
+        return Format::J;
+      case Opcode::Jr: case Opcode::Ret:
+        return Format::JR;
+      case Opcode::Trap: case Opcode::Halt: case Opcode::Nop:
+        return Format::None;
+      default:
+        panic("formatOf: bad opcode %u", static_cast<unsigned>(op));
+    }
+}
 
 /** Coarse classification used for functional-unit latencies. */
 enum class InstClass : std::uint8_t
@@ -102,9 +135,6 @@ const char *opcodeName(Opcode op);
 
 /** @return a human-readable disassembly of @p inst at address @p pc. */
 std::string disassemble(const Instruction &inst, Addr pc = 0);
-
-/** @return the latency/issue classification of @p op. */
-InstClass instClass(Opcode op);
 
 /** @return true for conditional branches (Beq..Bgeu). */
 constexpr bool
@@ -177,14 +207,75 @@ isMem(Opcode op)
     return isLoad(op) || isStore(op);
 }
 
+/** @return the latency/issue classification of @p op. */
+inline InstClass
+instClass(Opcode op)
+{
+    switch (op) {
+      case Opcode::Mul:
+        return InstClass::IntMult;
+      case Opcode::Div:
+        return InstClass::IntDiv;
+      case Opcode::Ld:
+        return InstClass::Load;
+      case Opcode::St:
+        return InstClass::Store;
+      case Opcode::Trap:
+      case Opcode::Halt:
+        return InstClass::Serialize;
+      default:
+        return isControl(op) ? InstClass::Control : InstClass::IntAlu;
+    }
+}
+
 /** @return true if the instruction writes its destination register. */
-bool writesReg(const Instruction &inst);
+inline bool
+writesReg(const Instruction &inst)
+{
+    if (inst.rd == kRegZero)
+        return false;
+    switch (formatOf(inst.op)) {
+      case Format::R:
+        return true;
+      case Format::I:
+        return inst.op != Opcode::St;
+      case Format::J:
+        return inst.op == Opcode::Call;
+      default:
+        return false;
+    }
+}
 
 /** @return true if the instruction reads rs1. */
-bool readsRs1(const Instruction &inst);
+inline bool
+readsRs1(const Instruction &inst)
+{
+    switch (formatOf(inst.op)) {
+      case Format::R:
+      case Format::B:
+      case Format::JR:
+        return true;
+      case Format::I:
+        return inst.op != Opcode::Lui;
+      default:
+        return false;
+    }
+}
 
 /** @return true if the instruction reads rs2. */
-bool readsRs2(const Instruction &inst);
+inline bool
+readsRs2(const Instruction &inst)
+{
+    switch (formatOf(inst.op)) {
+      case Format::R:
+      case Format::B:
+        return true;
+      case Format::I:
+        return inst.op == Opcode::St;
+      default:
+        return false;
+    }
+}
 
 /**
  * @return the target address of a direct control instruction (branch,

@@ -37,6 +37,13 @@ sendAll(int fd, const std::string &bytes)
     }
 }
 
+void
+sendUnauthorized(int fd)
+{
+    sendAll(fd, renderHttpResponse({401, "application/json",
+                                    "{\"error\": \"unauthorized\"}\n"}));
+}
+
 /** Fields scraped from a raw request head. */
 struct RequestHead
 {
@@ -306,9 +313,11 @@ HttpServer::serveLoop()
 void
 HttpServer::handleConnection(int fd)
 {
-    // Read the head, then exactly Content-Length body bytes. A peer
-    // that dribbles slower than the poll timeout is judged on what
-    // arrived; an oversized declaration is cut off at the cap.
+    // Read the head and check the token before any body byte, so a
+    // tokenless peer cannot hold the serving thread with a large
+    // declared body; then read exactly Content-Length body bytes. A
+    // peer that dribbles slower than the poll timeout is judged on
+    // what arrived; an oversized declaration is cut off at the cap.
     std::string raw;
     char buf[64 * 1024];
     std::size_t body_start = std::string::npos;
@@ -328,6 +337,10 @@ HttpServer::handleConnection(int fd)
             body_start = headerEnd(raw);
             if (body_start != std::string::npos) {
                 head = parseRequestHead(raw.substr(0, body_start));
+                if (head.bearer != token_) {
+                    sendUnauthorized(fd);
+                    return;
+                }
                 if (!head.contentLengthValid ||
                     head.contentLength > kMaxBodyBytes) {
                     sendAll(fd,
@@ -345,9 +358,7 @@ HttpServer::handleConnection(int fd)
         head = parseRequestHead(raw);
 
     if (head.bearer != token_) {
-        sendAll(fd, renderHttpResponse(
-                        {401, "application/json",
-                         "{\"error\": \"unauthorized\"}\n"}));
+        sendUnauthorized(fd);
         return;
     }
 

@@ -25,6 +25,16 @@ namespace
 /** Hard per-run cycle budget multiplier (hang detection). */
 constexpr std::uint64_t kMaxCyclesPerInst = 200;
 
+/** TCSIM_DEBUG_RETIRE: keep the recent-retire and recent-recovery logs
+ * that the oracle-divergence dump prints, and report violations. */
+bool
+debugRetireEnabled()
+{
+    static const bool enabled =
+        std::getenv("TCSIM_DEBUG_RETIRE") != nullptr;
+    return enabled;
+}
+
 } // namespace
 
 Processor::Processor(const ProcessorConfig &config,
@@ -112,9 +122,7 @@ Processor::checkStoreOrderViolation(core::DynInst &store)
                  static_cast<unsigned long long>(store.pc),
                  static_cast<unsigned long long>(store.memAddr),
                  static_cast<unsigned long long>(violator->pc));
-    static const bool debug_retire =
-        std::getenv("TCSIM_DEBUG_RETIRE") != nullptr;
-    if (debug_retire) {
+    if (debugRetireEnabled()) {
         std::fprintf(stderr,
                      "violation: store seq=%llu pc=%llx addr=%llx "
                      "load seq=%llu pc=%llx act=%d\n",
@@ -169,7 +177,7 @@ Processor::extendOracle(std::uint64_t upto_idx)
         if (oracleCount_ == oracleRing_.size())
             growOracleRing();
         const std::uint64_t idx = oracleBase_ + oracleCount_;
-        oracleRing_[idx & (oracleRing_.size() - 1)] = oracle_->step();
+        oracle_->step(oracleRing_[idx & (oracleRing_.size() - 1)]);
         ++oracleCount_;
     }
 }
@@ -694,8 +702,7 @@ Processor::dispatchStage()
 
     for (std::size_t i = 0; i < batch_size; ++i) {
         const fetch::FetchedInst &fi = pb.batch.insts[i];
-        DynInst &di = window_.allocate();
-        static_cast<fetch::FetchedInst &>(di) = fi;
+        DynInst &di = window_.allocate(fi);
         if (i == 0)
             group_start = di.seq; // allocation may skip seqs
         di.fetchGroup = pb.group;
@@ -1348,9 +1355,12 @@ Processor::applyRecovery()
     const RecoveryRequest req = recovery_;
     if (DynInst *origin = window_.find(req.originSeq))
         origin->recoveryApplied = true;
-    debugRecoveryLog_.emplace_back(cycle_, req.keepSeq, req.redirect,
-                                   (int)req.cause, req.salvage);
-    if (debugRecoveryLog_.size() > 24) debugRecoveryLog_.pop_front();
+    if (debugRetireEnabled()) {
+        debugRecoveryLog_.emplace_back(cycle_, req.keepSeq, req.redirect,
+                                       (int)req.cause, req.salvage);
+        if (debugRecoveryLog_.size() > 24)
+            debugRecoveryLog_.pop_front();
+    }
 
     squashYoungerThan(req.keepSeq);
     for (PendingBatch &pb : fetchQueue_)
@@ -1478,7 +1488,7 @@ Processor::retireOne(DynInst &inst)
     // (Pointer, not reference: the debug dump below can extend — and
     // so reallocate — the oracle ring.)
     const workload::StepResult *golden = &oracleAt(oracleRetireIdx_);
-    if (golden->pc != inst.pc && std::getenv("TCSIM_DEBUG_RETIRE")) {
+    if (golden->pc != inst.pc && debugRetireEnabled()) {
         for (std::uint64_t i = oracleRetireIdx_ >= 3 ? oracleRetireIdx_-3 : 0;
              i <= oracleRetireIdx_ + 3; ++i) {
             if (i < oracleBase_) continue;
@@ -1529,9 +1539,7 @@ Processor::retireOne(DynInst &inst)
                  "retired branch direction diverges at pc %llx seq %llu",
                  static_cast<unsigned long long>(inst.pc),
                  static_cast<unsigned long long>(inst.seq));
-    static const bool debug_retire =
-        std::getenv("TCSIM_DEBUG_RETIRE") != nullptr;
-    if (debug_retire) {
+    if (debugRetireEnabled()) {
         debugRetireLog_.emplace_back(
             inst.pc, inst.inst.op, inst.seq,
             inst.fetchGroup | (uint64_t(inst.active) << 56) |
@@ -2158,7 +2166,7 @@ Processor::recordTrace(workload::BtraceWriter &writer,
                          max_insts](workload::StepResult &out) -> bool {
         if (oracle_->halted() || oracle_->instCount() >= max_insts)
             return false;
-        out = oracle_->step();
+        oracle_->step(out);
         return true;
     };
     const ControlFlowResult result =

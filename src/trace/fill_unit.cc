@@ -53,7 +53,8 @@ FillUnit::retire(const RetiredInst &retired)
         finalize(FillReason::Resync);
     }
 
-    TraceInst ti;
+    // Built in its final slot: a stack copy stalls store forwarding.
+    TraceInst &ti = curBlock_.emplace_back();
     ti.inst = retired.inst;
     ti.pc = retired.pc;
 
@@ -95,8 +96,6 @@ FillUnit::retire(const RetiredInst &retired)
         block_end = true;
         segment_end = true;
     }
-
-    curBlock_.push_back(ti);
 
     if (block_end)
         closeBlock(segment_end);

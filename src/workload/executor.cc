@@ -139,28 +139,31 @@ FunctionalExecutor::computeResult(const Instruction &inst, Addr pc,
         next_pc = isa::directTarget(inst, pc);
 }
 
-StepResult
-FunctionalExecutor::step()
+void
+FunctionalExecutor::step(StepResult &out)
 {
-    StepResult step_result;
-    step_result.pc = pc_;
-    step_result.halted = halted_;
+    out.pc = pc_;
+    out.halted = halted_;
+    out.taken = false;
+    out.memAddr = kInvalidAddr;
+    out.result = 0;
     if (halted_) {
-        step_result.nextPc = pc_;
-        return step_result;
+        out.inst = Instruction{};
+        out.nextPc = pc_;
+        return;
     }
 
     const Instruction &inst = program_.fetch(pc_);
-    step_result.inst = inst;
+    out.inst = inst;
 
     const RegVal src1 = isa::readsRs1(inst) ? regs_[inst.rs1] : 0;
     const RegVal src2 = isa::readsRs2(inst) ? regs_[inst.rs2] : 0;
 
     std::uint64_t mem_value = 0;
     if (isa::isMem(inst.op)) {
-        step_result.memAddr = effectiveAddr(inst, src1);
+        out.memAddr = effectiveAddr(inst, src1);
         if (isa::isLoad(inst.op))
-            mem_value = memory_.load(step_result.memAddr);
+            mem_value = memory_.load(out.memAddr);
     }
 
     RegVal result = 0;
@@ -170,21 +173,20 @@ FunctionalExecutor::step()
                   taken);
 
     if (isa::isStore(inst.op))
-        memory_.store(step_result.memAddr, src2);
+        memory_.store(out.memAddr, src2);
     if (isa::writesReg(inst))
         setReg(inst.rd, result);
-    step_result.result = result;
+    out.result = result;
 
-    step_result.taken = taken;
-    step_result.nextPc = next_pc;
+    out.taken = taken;
+    out.nextPc = next_pc;
     if (inst.op == Opcode::Halt) {
         halted_ = true;
-        step_result.halted = true;
+        out.halted = true;
     }
 
     pc_ = next_pc;
     ++instCount_;
-    return step_result;
 }
 
 } // namespace tcsim::workload

@@ -140,8 +140,21 @@ class FunctionalExecutor
     /** The executor stores a reference; temporaries are rejected. */
     explicit FunctionalExecutor(Program &&) = delete;
 
+    /**
+     * Execute one instruction and write its record, every field, into
+     * @p out. Hot loops pass the slot the record lives in, so it is
+     * built there rather than on the stack and copied.
+     */
+    void step(StepResult &out);
+
     /** Execute one instruction and return its record. */
-    StepResult step();
+    StepResult
+    step()
+    {
+        StepResult step_result;
+        step(step_result);
+        return step_result;
+    }
 
     /** @return true once Halt has executed. */
     bool halted() const { return halted_; }

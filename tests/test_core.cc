@@ -481,7 +481,7 @@ TEST(InstRing, AllocationAfterSquashTakesTheSlotAfterTheTail)
     std::vector<InstSeqNum> seqs;
     std::vector<const core::DynInst *> slots;
     for (int i = 0; i < 6; ++i) {
-        const core::DynInst &di = ring.allocate();
+        const core::DynInst &di = ring.allocate({});
         seqs.push_back(di.seq);
         slots.push_back(&di);
     }
@@ -491,7 +491,7 @@ TEST(InstRing, AllocationAfterSquashTakesTheSlotAfterTheTail)
     ASSERT_EQ(ring.size(), 2u);
     EXPECT_EQ(ring.back().seq, seqs[2]);
 
-    const core::DynInst &next = ring.allocate();
+    const core::DynInst &next = ring.allocate({});
     EXPECT_EQ(&next, slots[3]); // the slot right after the tail
     EXPECT_GT(next.seq, seqs.back());
     EXPECT_NE(next.seq, kInvalidSeqNum);
@@ -503,9 +503,9 @@ TEST(InstRing, AllocationAfterSquashTakesTheSlotAfterTheTail)
 TEST(InstRing, FindFailsForRetiredAndSquashedSeqs)
 {
     core::InstRing ring(4);
-    const InstSeqNum kept = ring.allocate().seq;
-    const InstSeqNum retired = ring.allocate().seq;
-    const InstSeqNum squashed = ring.allocate().seq;
+    const InstSeqNum kept = ring.allocate({}).seq;
+    const InstSeqNum retired = ring.allocate({}).seq;
+    const InstSeqNum squashed = ring.allocate({}).seq;
     ring.popBack();
     EXPECT_EQ(ring.find(squashed), nullptr);
     ASSERT_NE(ring.find(kept), nullptr);
@@ -513,7 +513,7 @@ TEST(InstRing, FindFailsForRetiredAndSquashedSeqs)
     EXPECT_EQ(ring.find(kInvalidSeqNum), nullptr);
 
     // Reuse the squashed seq's slot: the stale seq still misses.
-    const core::DynInst &reused = ring.allocate();
+    const core::DynInst &reused = ring.allocate({});
     EXPECT_EQ(reused.seq & (ring.capacity() - 1),
               squashed & (ring.capacity() - 1));
     EXPECT_EQ(ring.find(squashed), nullptr);
@@ -526,12 +526,122 @@ TEST(InstRing, FindFailsForRetiredAndSquashedSeqs)
     EXPECT_EQ(ring.front().seq, reused.seq);
 }
 
+TEST(InstRing, RecycledSlotComesBackAsTheFetchedInstWithDefaultState)
+{
+    core::InstRing ring(1);
+    fetch::FetchedInst first;
+    first.inst.op = isa::Opcode::Beq;
+    first.pc = 0x4000;
+    first.active = false;
+    first.promoted = true;
+    first.followedDir = true;
+    first.mbpCtx.history = 0xabc;
+    first.followedNextPc = 0x4100;
+
+    // Dirty every field of the core's state and the waiters list.
+    core::DynInst &dirty = ring.allocate(first);
+    const InstSeqNum dirty_seq = dirty.seq;
+    dirty.fetchGroup = 7;
+    dirty.groupStartSeq = dirty_seq;
+    dirty.fetchCycle = 11;
+    dirty.source = fetch::FetchSource::TraceCache;
+    dirty.discarded = true;
+    dirty.onCorrectPath = true;
+    dirty.oracleIdx = 13;
+    dirty.oracleMemAddr = 0x80;
+    dirty.srcReady[0] = dirty.srcReady[1] = false;
+    dirty.srcVal[0] = dirty.srcVal[1] = 17;
+    dirty.srcDep[0] = dirty.srcDep[1] = 19;
+    dirty.rsTable = 3;
+    dirty.inReadyQueue = true;
+    dirty.fired = true;
+    dirty.executed = true;
+    dirty.readyCycle = 23;
+    dirty.completeCycle = 29;
+    dirty.result = 31;
+    dirty.memAddr = 0x88;
+    dirty.memAddrKnown = true;
+    dirty.storeData = 37;
+    dirty.taken = true;
+    dirty.actualNextPc = 0x4200;
+    dirty.resolvedMispredict = true;
+    dirty.resolvedFault = true;
+    dirty.resolvedMisfetch = true;
+    dirty.recoveryApplied = true;
+    dirty.resolveCycle = 41;
+    for (InstSeqNum w = 1; w <= 100; ++w)
+        dirty.waiters.push_back(w);
+    const std::size_t waiters_capacity = dirty.waiters.capacity();
+    ring.popFront();
+
+    fetch::FetchedInst second;
+    second.inst.op = isa::Opcode::Add;
+    second.inst.rd = 5;
+    second.pc = 0x5000;
+    second.followedNextPc = 0x5004;
+    core::DynInst &fresh = ring.allocate(second);
+    ASSERT_EQ(&fresh, &dirty); // the one slot, recycled
+    EXPECT_GT(fresh.seq, dirty_seq);
+
+    // The fetched part is exactly the new fetched instruction...
+    EXPECT_EQ(fresh.inst, second.inst);
+    EXPECT_EQ(fresh.pc, second.pc);
+    EXPECT_TRUE(fresh.active);
+    EXPECT_FALSE(fresh.promoted);
+    EXPECT_FALSE(fresh.followedDir);
+    EXPECT_EQ(fresh.mbpCtx.history, 0u);
+    EXPECT_EQ(fresh.followedNextPc, second.followedNextPc);
+
+    // ...the core's state is the default apart from seq...
+    const core::DynState def;
+    EXPECT_EQ(fresh.fetchGroup, def.fetchGroup);
+    EXPECT_EQ(fresh.groupStartSeq, def.groupStartSeq);
+    EXPECT_EQ(fresh.fetchCycle, def.fetchCycle);
+    EXPECT_EQ(fresh.source, def.source);
+    EXPECT_EQ(fresh.discarded, def.discarded);
+    EXPECT_EQ(fresh.onCorrectPath, def.onCorrectPath);
+    EXPECT_EQ(fresh.oracleIdx, def.oracleIdx);
+    EXPECT_EQ(fresh.oracleMemAddr, def.oracleMemAddr);
+    for (unsigned i = 0; i < 2; ++i) {
+        EXPECT_EQ(fresh.srcReady[i], def.srcReady[i]);
+        EXPECT_EQ(fresh.srcVal[i], def.srcVal[i]);
+        EXPECT_EQ(fresh.srcDep[i], def.srcDep[i]);
+    }
+    EXPECT_EQ(fresh.rsTable, def.rsTable);
+    EXPECT_EQ(fresh.inReadyQueue, def.inReadyQueue);
+    EXPECT_EQ(fresh.fired, def.fired);
+    EXPECT_EQ(fresh.executed, def.executed);
+    EXPECT_EQ(fresh.readyCycle, def.readyCycle);
+    EXPECT_EQ(fresh.completeCycle, def.completeCycle);
+    EXPECT_EQ(fresh.result, def.result);
+    EXPECT_EQ(fresh.memAddr, def.memAddr);
+    EXPECT_EQ(fresh.memAddrKnown, def.memAddrKnown);
+    EXPECT_EQ(fresh.storeData, def.storeData);
+    EXPECT_EQ(fresh.taken, def.taken);
+    EXPECT_EQ(fresh.actualNextPc, def.actualNextPc);
+    EXPECT_EQ(fresh.resolvedMispredict, def.resolvedMispredict);
+    EXPECT_EQ(fresh.resolvedFault, def.resolvedFault);
+    EXPECT_EQ(fresh.resolvedMisfetch, def.resolvedMisfetch);
+    EXPECT_EQ(fresh.recoveryApplied, def.recoveryApplied);
+    EXPECT_EQ(fresh.resolveCycle, def.resolveCycle);
+    // The defaults themselves are what the core starts from.
+    EXPECT_EQ(def.groupStartSeq, kInvalidSeqNum);
+    EXPECT_TRUE(def.srcReady[0] && def.srcReady[1]);
+    EXPECT_EQ(def.srcDep[0], kInvalidSeqNum);
+    EXPECT_EQ(def.memAddr, kInvalidAddr);
+    EXPECT_FALSE(def.fired || def.executed || def.memAddrKnown);
+
+    // ...and the waiters list is empty but keeps its allocation.
+    EXPECT_TRUE(fresh.waiters.empty());
+    EXPECT_EQ(fresh.waiters.capacity(), waiters_capacity);
+}
+
 TEST(InstRingDeath, FillingPastCapacityAborts)
 {
     core::InstRing ring(4);
     for (int i = 0; i < 4; ++i)
-        ring.allocate();
-    EXPECT_DEATH(ring.allocate(), "instruction ring full");
+        ring.allocate({});
+    EXPECT_DEATH(ring.allocate({}), "instruction ring full");
 }
 
 } // namespace

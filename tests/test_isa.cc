@@ -4,6 +4,8 @@
  * trips, classification predicates, and operand semantics.
  */
 
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -186,6 +188,80 @@ TEST(IsaOperands, ReadsSources)
 
     Instruction ret{Opcode::Ret, 0, kRegRa, 0, 0};
     EXPECT_TRUE(readsRs1(ret));
+}
+
+/** The operand and class predicates of one opcode. */
+struct OpcodeTraits
+{
+    Opcode op;
+    bool writes; ///< writesReg with a nonzero rd
+    bool rs1;
+    bool rs2;
+    InstClass cls;
+};
+
+constexpr InstClass kAlu = InstClass::IntAlu;
+constexpr InstClass kCtl = InstClass::Control;
+
+/** Every opcode, in enum order, with its expected predicates. */
+constexpr OpcodeTraits kOpcodeTraits[] = {
+    {Opcode::Add, true, true, true, kAlu},
+    {Opcode::Sub, true, true, true, kAlu},
+    {Opcode::Mul, true, true, true, InstClass::IntMult},
+    {Opcode::Div, true, true, true, InstClass::IntDiv},
+    {Opcode::And, true, true, true, kAlu},
+    {Opcode::Or, true, true, true, kAlu},
+    {Opcode::Xor, true, true, true, kAlu},
+    {Opcode::Sll, true, true, true, kAlu},
+    {Opcode::Srl, true, true, true, kAlu},
+    {Opcode::Sra, true, true, true, kAlu},
+    {Opcode::Slt, true, true, true, kAlu},
+    {Opcode::Sltu, true, true, true, kAlu},
+    {Opcode::Addi, true, true, false, kAlu},
+    {Opcode::Andi, true, true, false, kAlu},
+    {Opcode::Ori, true, true, false, kAlu},
+    {Opcode::Xori, true, true, false, kAlu},
+    {Opcode::Slli, true, true, false, kAlu},
+    {Opcode::Srli, true, true, false, kAlu},
+    {Opcode::Slti, true, true, false, kAlu},
+    {Opcode::Lui, true, false, false, kAlu},
+    {Opcode::Ld, true, true, false, InstClass::Load},
+    {Opcode::St, false, true, true, InstClass::Store},
+    {Opcode::Beq, false, true, true, kCtl},
+    {Opcode::Bne, false, true, true, kCtl},
+    {Opcode::Blt, false, true, true, kCtl},
+    {Opcode::Bge, false, true, true, kCtl},
+    {Opcode::Bltu, false, true, true, kCtl},
+    {Opcode::Bgeu, false, true, true, kCtl},
+    {Opcode::J, false, false, false, kCtl},
+    {Opcode::Call, true, false, false, kCtl},
+    {Opcode::Jr, false, true, false, kCtl},
+    {Opcode::Ret, false, true, false, kCtl},
+    {Opcode::Trap, false, false, false, InstClass::Serialize},
+    {Opcode::Halt, false, false, false, InstClass::Serialize},
+    {Opcode::Nop, false, false, false, kAlu},
+};
+static_assert(std::size(kOpcodeTraits) ==
+              static_cast<std::size_t>(Opcode::NumOpcodes));
+
+TEST(IsaOperands, PredicateTableCoversEveryOpcode)
+{
+    for (std::size_t i = 0; i < std::size(kOpcodeTraits); ++i) {
+        const OpcodeTraits &t = kOpcodeTraits[i];
+        ASSERT_EQ(static_cast<std::size_t>(t.op), i);
+        Instruction inst{t.op, 5, 6, 7, 0};
+        EXPECT_EQ(writesReg(inst), t.writes) << opcodeName(t.op);
+        EXPECT_EQ(readsRs1(inst), t.rs1) << opcodeName(t.op);
+        EXPECT_EQ(readsRs2(inst), t.rs2) << opcodeName(t.op);
+        EXPECT_EQ(instClass(t.op), t.cls) << opcodeName(t.op);
+
+        // A write to r0 is discarded, whatever the opcode.
+        inst.rd = kRegZero;
+        EXPECT_FALSE(writesReg(inst)) << opcodeName(t.op);
+        // The source predicates do not depend on rd.
+        EXPECT_EQ(readsRs1(inst), t.rs1) << opcodeName(t.op);
+        EXPECT_EQ(readsRs2(inst), t.rs2) << opcodeName(t.op);
+    }
 }
 
 TEST(IsaOperands, DirectTargetArithmetic)

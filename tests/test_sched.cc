@@ -10,6 +10,7 @@
  * object.
  */
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -351,10 +352,12 @@ TEST(Sched, PartialAndStatusDocumentsAreWellFormed)
 // The scheduler's HTTP routes.
 // ---------------------------------------------------------------------
 
-/** One raw HTTP/1.0 exchange with no Authorization header at all. */
+/** One raw HTTP/1.0 exchange with no Authorization header at all;
+ * @p extra_headers (CRLF-terminated lines) go after the request line. */
 std::string
 requestWithoutToken(std::uint16_t port, const std::string &method,
-                    const std::string &path)
+                    const std::string &path,
+                    const std::string &extra_headers = "")
 {
     const int fd = socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
@@ -368,7 +371,8 @@ requestWithoutToken(std::uint16_t port, const std::string &method,
         close(fd);
         return "";
     }
-    const std::string request = method + " " + path + " HTTP/1.0\r\n\r\n";
+    const std::string request =
+        method + " " + path + " HTTP/1.0\r\n" + extra_headers + "\r\n";
     (void)!write(fd, request.data(), request.size());
     std::string response;
     char buf[4096];
@@ -456,6 +460,32 @@ TEST(SchedServer, RejectsWithoutTokenServesWithIt)
     EXPECT_EQ(service.withScheduler(
                   [](Scheduler &sched) { return sched.leasesIssued(); }),
               1u);
+}
+
+TEST(SchedServer, RejectsTokenlessLargeBodyBeforeReadingIt)
+{
+    const testing_util::ScratchDir scratch;
+    FragmentStore store(scratch.path());
+    SchedServer service(testUnits(), fastOptions(), store);
+    obs::HttpServer server;
+    ASSERT_TRUE(server.start("127.0.0.1", 0, "hunter2",
+                             [&service](const obs::HttpRequest &request) {
+                                 return service.handle(request);
+                             }));
+
+    // The declared body never arrives: the 401 must not wait for it,
+    // which would take at least one 2 s read poll.
+    const auto start = std::chrono::steady_clock::now();
+    const std::string response =
+        requestWithoutToken(server.port(), "POST", "/lease?worker=w1",
+                            "Content-Length: 200000000\r\n");
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_NE(response.find(" 401 "), std::string::npos) << response;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+    server.stop();
+    EXPECT_EQ(service.withScheduler(
+                  [](Scheduler &sched) { return sched.leasesIssued(); }),
+              0u);
 }
 
 TEST(SchedServer, RefusesEmptyToken)

@@ -326,6 +326,87 @@ TEST(Executor, StepAfterHaltIsIdempotent)
     EXPECT_EQ(exec.pc(), pc);
 }
 
+/** Expect two step records to agree on every field. */
+void
+expectSameStep(const StepResult &a, const StepResult &b, std::uint64_t i)
+{
+    EXPECT_EQ(a.pc, b.pc) << "step " << i;
+    EXPECT_EQ(a.inst, b.inst) << "step " << i;
+    EXPECT_EQ(a.nextPc, b.nextPc) << "step " << i;
+    EXPECT_EQ(a.taken, b.taken) << "step " << i;
+    EXPECT_EQ(a.memAddr, b.memAddr) << "step " << i;
+    EXPECT_EQ(a.result, b.result) << "step " << i;
+    EXPECT_EQ(a.halted, b.halted) << "step " << i;
+}
+
+/** A record with every field set to something no step writes. */
+StepResult
+dirtyStep()
+{
+    StepResult r;
+    r.pc = 0xdead0;
+    r.inst = {Opcode::Div, 9, 10, 11, 12};
+    r.nextPc = 0xdead4;
+    r.taken = true;
+    r.memAddr = 0xbeef8;
+    r.result = 0x5a5a5a5a;
+    r.halted = true;
+    return r;
+}
+
+TEST(Executor, InPlaceStepMatchesStepOnGeneratedProgram)
+{
+    BenchmarkProfile profile = benchmarkSuite().front();
+    profile.numFunctions = 8;
+    const Program program = generateProgram(profile);
+    FunctionalExecutor by_value(program), in_place(program);
+    // One slot reused for every step, as the oracle ring does.
+    StepResult slot = dirtyStep();
+    for (std::uint64_t i = 0; i < 100000; ++i) {
+        const StepResult expected = by_value.step();
+        in_place.step(slot);
+        expectSameStep(slot, expected, i);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    EXPECT_EQ(in_place.pc(), by_value.pc());
+    EXPECT_EQ(in_place.instCount(), by_value.instCount());
+    for (RegIndex r = 0; r < isa::kNumArchRegs; ++r)
+        EXPECT_EQ(in_place.reg(r), by_value.reg(r)) << "r" << unsigned{r};
+}
+
+TEST(Executor, InPlaceStepMatchesStepThroughHalt)
+{
+    ProgramBuilder b("t");
+    Label loop = b.newLabel();
+    const Addr data = b.allocData(64);
+    b.loadImm64(4, data);
+    b.addi(3, 0, 5);
+    b.bind(loop);
+    b.st(3, 0, 4);
+    b.ld(5, 0, 4);
+    b.add(6, 6, 5);
+    b.addi(3, 3, -1);
+    b.bne(3, 0, loop);
+    b.halt();
+    const Program prog = b.build();
+    FunctionalExecutor by_value(prog), in_place(prog);
+    StepResult slot = dirtyStep();
+    std::uint64_t i = 0;
+    // Past Halt too: a halted step rewrites the whole record.
+    for (unsigned after_halt = 0; after_halt < 3; ++i) {
+        if (by_value.halted())
+            ++after_halt;
+        const StepResult expected = by_value.step();
+        slot = dirtyStep();
+        in_place.step(slot);
+        expectSameStep(slot, expected, i);
+    }
+    EXPECT_TRUE(in_place.halted());
+    EXPECT_EQ(in_place.reg(6), by_value.reg(6));
+    EXPECT_EQ(in_place.instCount(), by_value.instCount());
+}
+
 TEST(Executor, TakenRecordsAndNextPc)
 {
     ProgramBuilder b("t");
