@@ -29,6 +29,9 @@ namespace tcsim::core
  */
 struct DynState
 {
+    // The 8-byte fields come first and the one-byte fields after them,
+    // so the struct has no interior padding (see the size assert).
+
     // ------------------------------------------------------------------
     // Identity.
     // ------------------------------------------------------------------
@@ -40,41 +43,47 @@ struct DynState
      * scanning the window. */
     InstSeqNum groupStartSeq = kInvalidSeqNum;
     Cycle fetchCycle = 0;
-    fetch::FetchSource source = fetch::FetchSource::ICache;
-    /** Inactive instruction whose path lost; retires as a no-op. */
-    bool discarded = false;
 
     // ------------------------------------------------------------------
     // Oracle (statistics + perfect disambiguation) state.
     // ------------------------------------------------------------------
-    bool onCorrectPath = false;
     std::uint64_t oracleIdx = 0;
     Addr oracleMemAddr = kInvalidAddr;
 
     // ------------------------------------------------------------------
     // Rename / execution state.
     // ------------------------------------------------------------------
-    bool srcReady[2] = {true, true};
     RegVal srcVal[2] = {0, 0};
     InstSeqNum srcDep[2] = {kInvalidSeqNum, kInvalidSeqNum};
-
-    std::uint8_t rsTable = 0;
-    bool inReadyQueue = false;
-    bool fired = false;     ///< left its reservation station
-    bool executed = false;  ///< result available
     Cycle readyCycle = 0;   ///< earliest schedule cycle
     Cycle completeCycle = 0;
-
     RegVal result = 0;
     Addr memAddr = kInvalidAddr;
-    bool memAddrKnown = false;
     RegVal storeData = 0;
 
     // ------------------------------------------------------------------
     // Resolution state.
     // ------------------------------------------------------------------
-    bool taken = false;
     Addr actualNextPc = 0;
+    Cycle resolveCycle = 0;
+
+    // ------------------------------------------------------------------
+    // One-byte fields, in the same section order.
+    // ------------------------------------------------------------------
+    fetch::FetchSource source = fetch::FetchSource::ICache;
+    /** Inactive instruction whose path lost; retires as a no-op. */
+    bool discarded = false;
+
+    bool onCorrectPath = false;
+
+    bool srcReady[2] = {true, true};
+    std::uint8_t rsTable = 0;
+    bool inReadyQueue = false;
+    bool fired = false;     ///< left its reservation station
+    bool executed = false;  ///< result available
+    bool memAddrKnown = false;
+
+    bool taken = false;
     bool resolvedMispredict = false;
     bool resolvedFault = false;
     bool resolvedMisfetch = false;
@@ -83,10 +92,11 @@ struct DynState
      * squash does not cover this instruction; the retire stage then
      * re-issues the request). */
     bool recoveryApplied = false;
-    Cycle resolveCycle = 0;
 };
 
 static_assert(std::is_trivially_copyable_v<DynState>);
+// 17 eight-byte fields and 15 one-byte fields, padded to 8.
+static_assert(sizeof(DynState) == 152);
 
 /** One in-flight instruction: the fetched instruction (its
  * speculation state included) plus the core's own state. */

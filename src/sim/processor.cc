@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <istream>
 #include <ostream>
-#include <tuple>
 
 #include "common/binio.h"
 #include "common/fnv.h"
@@ -24,16 +23,6 @@ namespace
 
 /** Hard per-run cycle budget multiplier (hang detection). */
 constexpr std::uint64_t kMaxCyclesPerInst = 200;
-
-/** TCSIM_DEBUG_RETIRE: keep the recent-retire and recent-recovery logs
- * that the oracle-divergence dump prints, and report violations. */
-bool
-debugRetireEnabled()
-{
-    static const bool enabled =
-        std::getenv("TCSIM_DEBUG_RETIRE") != nullptr;
-    return enabled;
-}
 
 } // namespace
 
@@ -122,17 +111,6 @@ Processor::checkStoreOrderViolation(core::DynInst &store)
                  static_cast<unsigned long long>(store.pc),
                  static_cast<unsigned long long>(store.memAddr),
                  static_cast<unsigned long long>(violator->pc));
-    if (debugRetireEnabled()) {
-        std::fprintf(stderr,
-                     "violation: store seq=%llu pc=%llx addr=%llx "
-                     "load seq=%llu pc=%llx act=%d\n",
-                     (unsigned long long)store.seq,
-                     (unsigned long long)store.pc,
-                     (unsigned long long)store.memAddr,
-                     (unsigned long long)violator->seq,
-                     (unsigned long long)violator->pc,
-                     (int)violator->active);
-    }
 
     // Replay from the violating load: keep its predecessor.
     RecoveryRequest req;
@@ -1341,7 +1319,6 @@ Processor::rebuildSpeculativeState(const DynInst *tail)
     // scratch, so steady-state rebuilds never allocate.
     frontEnd_.ras.assignSwap(ras);
     // Serialization: a surviving in-flight trap keeps fetch stalled.
-    // (Folded into this walk — the recovery path is the only caller.)
     serializeStall_ = saw_serializer;
     return salvage_redirect;
 }
@@ -1355,12 +1332,6 @@ Processor::applyRecovery()
     const RecoveryRequest req = recovery_;
     if (DynInst *origin = window_.find(req.originSeq))
         origin->recoveryApplied = true;
-    if (debugRetireEnabled()) {
-        debugRecoveryLog_.emplace_back(cycle_, req.keepSeq, req.redirect,
-                                       (int)req.cause, req.salvage);
-        if (debugRecoveryLog_.size() > 24)
-            debugRecoveryLog_.pop_front();
-    }
 
     squashYoungerThan(req.keepSeq);
     for (PendingBatch &pb : fetchQueue_)
@@ -1485,73 +1456,30 @@ Processor::retireOne(DynInst &inst)
     }
 
     // The retired stream must equal the functional oracle's stream.
-    // (Pointer, not reference: the debug dump below can extend — and
-    // so reallocate — the oracle ring.)
-    const workload::StepResult *golden = &oracleAt(oracleRetireIdx_);
-    if (golden->pc != inst.pc && debugRetireEnabled()) {
-        for (std::uint64_t i = oracleRetireIdx_ >= 3 ? oracleRetireIdx_-3 : 0;
-             i <= oracleRetireIdx_ + 3; ++i) {
-            if (i < oracleBase_) continue;
-            const auto &e = oracleAt(i);
-            std::fprintf(stderr, "  oracle[%llu] pc=%llx op=%s taken=%d next=%llx\n",
-                (unsigned long long)i, (unsigned long long)e.pc,
-                isa::opcodeName(e.inst.op), (int)e.taken,
-                (unsigned long long)e.nextPc);
-        }
-        std::fprintf(stderr, "divergence at retire idx %llu: got %llx want %llx seq=%llu op=%s group=%llu active=%d\n",
-            (unsigned long long)oracleRetireIdx_, (unsigned long long)inst.pc,
-            (unsigned long long)golden->pc, (unsigned long long)inst.seq,
-            isa::opcodeName(inst.inst.op), (unsigned long long)inst.fetchGroup, (int)inst.active);
-        for (auto &d : debugRetireLog_) {
-            const auto meta = std::get<3>(d);
-            std::fprintf(stderr, "  retired pc=%llx op=%s seq=%llu grp=%llu act=%d eb=%d fd=%d et=%d tk=%d tc=%d\n",
-                (unsigned long long)std::get<0>(d), isa::opcodeName(std::get<1>(d)),
-                (unsigned long long)std::get<2>(d), (unsigned long long)(meta & 0xffffffffffffULL),
-                (int)((meta>>56)&1), (int)((meta>>57)&1), (int)((meta>>58)&1),
-                (int)((meta>>59)&1), (int)((meta>>60)&1), (int)((meta>>61)&1));
-        }
-        for (auto &r : debugRecoveryLog_)
-            std::fprintf(stderr, "  recovery cyc=%llu keep=%llu redirect=%llx cause=%d salvage=%d\n",
-                (unsigned long long)std::get<0>(r), (unsigned long long)std::get<1>(r),
-                (unsigned long long)std::get<2>(r), std::get<3>(r), std::get<4>(r));
-        golden = &oracleAt(oracleRetireIdx_); // ring may have grown
-    }
-    TCSIM_ASSERT(golden->pc == inst.pc,
+    const workload::StepResult &golden = oracleAt(oracleRetireIdx_);
+    TCSIM_ASSERT(golden.pc == inst.pc,
                  "retired pc 0x%llx diverges from oracle pc 0x%llx "
                  "at retire index %llu",
                  static_cast<unsigned long long>(inst.pc),
-                 static_cast<unsigned long long>(golden->pc),
+                 static_cast<unsigned long long>(golden.pc),
                  static_cast<unsigned long long>(oracleRetireIdx_));
-    TCSIM_ASSERT(!isa::writesReg(inst.inst) || golden->result == inst.result,
+    TCSIM_ASSERT(!isa::writesReg(inst.inst) || golden.result == inst.result,
                  "retired value %llx diverges from oracle %llx at pc %llx "
                  "op=%s seq=%llu idx=%llu",
                  static_cast<unsigned long long>(inst.result),
-                 static_cast<unsigned long long>(golden->result),
+                 static_cast<unsigned long long>(golden.result),
                  static_cast<unsigned long long>(inst.pc),
                  isa::opcodeName(inst.inst.op),
                  static_cast<unsigned long long>(inst.seq),
                  static_cast<unsigned long long>(oracleRetireIdx_));
-    TCSIM_ASSERT(!isa::isMem(inst.inst.op) || golden->memAddr == inst.memAddr,
+    TCSIM_ASSERT(!isa::isMem(inst.inst.op) || golden.memAddr == inst.memAddr,
                  "retired mem addr diverges at pc %llx",
                  static_cast<unsigned long long>(inst.pc));
     TCSIM_ASSERT(!isa::isCondBranch(inst.inst.op) ||
-                     golden->taken == inst.taken,
+                     golden.taken == inst.taken,
                  "retired branch direction diverges at pc %llx seq %llu",
                  static_cast<unsigned long long>(inst.pc),
                  static_cast<unsigned long long>(inst.seq));
-    if (debugRetireEnabled()) {
-        debugRetireLog_.emplace_back(
-            inst.pc, inst.inst.op, inst.seq,
-            inst.fetchGroup | (uint64_t(inst.active) << 56) |
-                (uint64_t(inst.endsBlock) << 57) |
-                (uint64_t(inst.followedDir) << 58) |
-                (uint64_t(inst.embeddedTaken) << 59) |
-                (uint64_t(inst.taken) << 60) |
-                (uint64_t(inst.source == fetch::FetchSource::TraceCache)
-                 << 61));
-        if (debugRetireLog_.size() > 48)
-            debugRetireLog_.pop_front();
-    }
     ++oracleRetireIdx_;
     // Retired entries are dead: fetch never looks below the retire
     // boundary (recoveries resynchronize at or above it). Ring slots
@@ -1878,6 +1806,34 @@ Processor::intervalCounters() const
 }
 
 void
+Processor::resyncWithOracle()
+{
+    // Committed mirrors.
+    memory_.copyFrom(oracle_->memory());
+    for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
+        archRegs_[r] = oracle_->reg(static_cast<RegIndex>(r));
+
+    // The oracle ring is empty and starts at the oracle's position.
+    oracleBase_ = oracle_->instCount();
+    oracleCount_ = 0;
+    oracleFetchIdx_ = oracleBase_;
+    oracleRetireIdx_ = oracleBase_;
+    onTruePath_ = true;
+
+    // Speculative state from the committed mirrors: the window is
+    // empty, so the recovery rebuild has no in-flight writers to add.
+    TCSIM_ASSERT(window_.empty());
+    rebuildSpeculativeState(nullptr);
+    fetchPc_ = oracle_->pc();
+
+    retiredInsts_ = oracleBase_;
+    statBaseCycle_ = cycle_;
+    statBaseInsts_ = retiredInsts_;
+    if (intervals_ != nullptr)
+        intervalNextAt_ = intervals_->nextBoundaryAfter(retiredInsts_);
+}
+
+void
 Processor::warmStart(const workload::ArchCheckpoint &ckpt)
 {
     TCSIM_ASSERT(cycle_ == 0 && retiredInsts_ == 0 && window_.empty(),
@@ -1892,34 +1848,53 @@ Processor::warmStart(const workload::ArchCheckpoint &ckpt)
         oracle_->setReg(static_cast<RegIndex>(r), ckpt.regs[r]);
     oracle_->restoreExecPoint(ckpt.pc, ckpt.instIndex, ckpt.halted);
 
-    // Committed mirrors.
-    memory_.copyFrom(oracle_->memory());
-    archRegs_ = ckpt.regs;
     archHistory_ = ckpt.history;
     archRas_.assign(ckpt.ras.begin(), ckpt.ras.end());
+    resyncWithOracle();
+}
 
-    // The oracle ring is empty and starts at the checkpoint index.
-    oracleBase_ = ckpt.instIndex;
-    oracleCount_ = 0;
-    oracleFetchIdx_ = ckpt.instIndex;
-    oracleRetireIdx_ = ckpt.instIndex;
-    onTruePath_ = true;
+// Inline into both loops: as a call per instruction it cost warm-up,
+// record and replay 9-15% of their speed in tcsim-bench.
+inline Processor::PathMisses
+Processor::trainOnPath(const workload::StepResult &step, PathLeader &leader)
+{
+    PathMisses misses;
+    const Opcode op = step.inst.op;
+    hierarchy_.icache().access(step.pc, false, cycle_);
 
-    // Speculative state from the committed mirrors — the rebuild
-    // recovery performs, minus in-flight writers (the window is
-    // empty).
-    for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
-        rat_[r] = RatEntry{true, archRegs_[r], kInvalidSeqNum};
-    frontEnd_.history.restore(archHistory_);
-    rasScratch_.assign(archRas_.begin(), archRas_.end());
-    frontEnd_.ras.assignSwap(rasScratch_);
-    fetchPc_ = ckpt.pc;
+    if (isa::isCondBranch(op)) {
+        if (mbp_ != nullptr) {
+            const bpred::MbpCtx ctx{
+                leader.pc, leader.history, 0, 0,
+                mbp_->predict(leader.pc, leader.history, 0, 0)};
+            misses.cond = ctx.prediction != step.taken;
+            mbp_->update(ctx, step.taken);
+        }
+        if (hybrid_ != nullptr) {
+            const bpred::HybridCtx ctx =
+                hybrid_->predict(step.pc, archHistory_);
+            misses.cond = ctx.prediction != step.taken;
+            hybrid_->update(step.pc, ctx, step.taken);
+        }
+        archHistory_ = (archHistory_ << 1) |
+                       static_cast<std::uint64_t>(step.taken);
+    } else if (isa::isCall(op)) {
+        archRas_.push_back(step.pc + isa::kInstBytes);
+    } else if (isa::isReturn(op)) {
+        misses.ret = archRas_.empty() || archRas_.back() != step.nextPc;
+        if (!archRas_.empty())
+            archRas_.pop_back();
+    } else if (isa::isIndirectJump(op)) {
+        misses.indirect =
+            frontEnd_.indirect.predict(step.pc) != step.nextPc;
+        frontEnd_.indirect.update(step.pc, step.nextPc);
+    }
 
-    retiredInsts_ = ckpt.instIndex;
-    statBaseCycle_ = cycle_;
-    statBaseInsts_ = retiredInsts_;
-    if (intervals_ != nullptr)
-        intervalNextAt_ = intervals_->nextBoundaryAfter(retiredInsts_);
+    if (fillUnit_ != nullptr)
+        fillUnit_->retire({step.inst, step.pc, step.taken});
+    if (isa::isControl(op))
+        leader = PathLeader{step.nextPc, archHistory_};
+    return misses;
 }
 
 void
@@ -1931,91 +1906,25 @@ Processor::functionalWarmup(std::uint64_t until)
                  "oracle out of sync with the committed position");
     TCSIM_ASSERT(until >= retiredInsts_);
 
-    // Leader = the fetch-group start address the detailed front end
-    // would use for a segment beginning at this block. Training the
-    // position-0 counter at (leader, history-at-leader) warms exactly
-    // the entries segment-start predictions consult. The leader
-    // carries over from the previous call, so warming in steps leaves
-    // the same state as one call to the same end point.
-    if (warmLeader_ == kInvalidAddr) {
-        warmLeader_ = oracle_->pc();
-        warmLeaderHist_ = archHistory_;
-    }
-    Addr leader = warmLeader_;
-    std::uint64_t leader_hist = warmLeaderHist_;
+    // The leader carries over from the previous call, so warming in
+    // steps leaves the same state as one call to the same end point.
+    if (warmLeader_.pc == kInvalidAddr)
+        warmLeader_ = PathLeader{oracle_->pc(), archHistory_};
+    PathLeader leader = warmLeader_;
+    workload::StepResult step;
     while (oracle_->instCount() < until && !oracle_->halted()) {
-        const workload::StepResult step = oracle_->step();
-        const Opcode op = step.inst.op;
-
-        hierarchy_.icache().access(step.pc, false, cycle_);
-        if (isa::isMem(op) && step.memAddr != kInvalidAddr)
-            hierarchy_.dcache().access(step.memAddr, isa::isStore(op),
-                                       cycle_);
-
-        if (isa::isCondBranch(op)) {
-            if (mbp_ != nullptr) {
-                bpred::MbpCtx ctx;
-                ctx.fetchAddr = leader;
-                ctx.history = leader_hist;
-                ctx.position = 0;
-                ctx.path = 0;
-                ctx.prediction = mbp_->predict(leader, leader_hist, 0, 0);
-                mbp_->update(ctx, step.taken);
-            }
-            if (hybrid_ != nullptr) {
-                const bpred::HybridCtx ctx =
-                    hybrid_->predict(step.pc, archHistory_);
-                hybrid_->update(step.pc, ctx, step.taken);
-            }
-            archHistory_ = (archHistory_ << 1) |
-                           static_cast<std::uint64_t>(step.taken);
-        } else if (isa::isCall(op)) {
-            archRas_.push_back(step.pc + isa::kInstBytes);
-        } else if (isa::isReturn(op)) {
-            if (!archRas_.empty())
-                archRas_.pop_back();
-        } else if (isa::isIndirectJump(op)) {
-            frontEnd_.indirect.update(step.pc, step.nextPc);
-        }
-
-        if (fillUnit_ != nullptr) {
-            trace::RetiredInst retired;
-            retired.inst = step.inst;
-            retired.pc = step.pc;
-            retired.taken = step.taken;
-            fillUnit_->retire(retired);
-        }
-
-        if (isa::isControl(op)) {
-            leader = step.nextPc;
-            leader_hist = archHistory_;
-        }
+        oracle_->step(step);
+        trainOnPath(step, leader);
+        // After the icache touch: both miss into the shared L2, so
+        // their order sets its LRU state.
+        if (isa::isMem(step.inst.op) && step.memAddr != kInvalidAddr)
+            hierarchy_.dcache().access(step.memAddr,
+                                       isa::isStore(step.inst.op), cycle_);
     }
     TCSIM_ASSERT(oracle_->instCount() == until,
                  "program halted inside the functional warm-up window");
     warmLeader_ = leader;
-    warmLeaderHist_ = leader_hist;
-
-    // Committed mirrors and speculative resync, as in warmStart().
-    memory_.copyFrom(oracle_->memory());
-    for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
-        archRegs_[r] = oracle_->reg(static_cast<RegIndex>(r));
-    oracleBase_ = oracle_->instCount();
-    oracleCount_ = 0;
-    oracleFetchIdx_ = oracleBase_;
-    oracleRetireIdx_ = oracleBase_;
-    onTruePath_ = true;
-    for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
-        rat_[r] = RatEntry{true, archRegs_[r], kInvalidSeqNum};
-    frontEnd_.history.restore(archHistory_);
-    rasScratch_.assign(archRas_.begin(), archRas_.end());
-    frontEnd_.ras.assignSwap(rasScratch_);
-    fetchPc_ = oracle_->pc();
-    retiredInsts_ = oracleBase_;
-    statBaseCycle_ = cycle_;
-    statBaseInsts_ = retiredInsts_;
-    if (intervals_ != nullptr)
-        intervalNextAt_ = intervals_->nextBoundaryAfter(retiredInsts_);
+    resyncWithOracle();
 }
 
 namespace
@@ -2052,66 +1961,36 @@ Processor::controlFlowPass(
     ControlFlowResult result;
     result.outcomeHash = kFnvOffsetBasis;
 
-    // Leader handling mirrors functionalWarmup(): the multi-branch
-    // predictor trains at (fetch-group leader, history-at-leader), and
-    // each new leader costs one trace-cache lookup — the fetch-rate /
+    // Each new leader costs one trace-cache lookup — the fetch-rate /
     // miss-rate signal the replay stats report.
-    Addr leader = start_pc;
-    std::uint64_t leader_hist = archHistory_;
+    PathLeader leader{start_pc, archHistory_};
     bool leader_pending = true;
 
     workload::StepResult step;
     while (source(step)) {
         const Opcode op = step.inst.op;
-        if (leader_pending) {
-            if (traceCache_ != nullptr)
-                traceCache_->lookup(leader);
-            leader_pending = false;
-        }
-        hierarchy_.icache().access(step.pc, false, cycle_);
+        // Before trainOnPath(): its fill-unit retire inserts into the
+        // trace cache this lookup reads.
+        if (leader_pending && traceCache_ != nullptr)
+            traceCache_->lookup(leader.pc);
+        const PathMisses misses = trainOnPath(step, leader);
         ++result.instructions;
 
-        if (isa::isCondBranch(op)) {
-            ++result.condBranches;
-            if (mbp_ != nullptr) {
-                bpred::MbpCtx ctx;
-                ctx.fetchAddr = leader;
-                ctx.history = leader_hist;
-                ctx.position = 0;
-                ctx.path = 0;
-                ctx.prediction = mbp_->predict(leader, leader_hist, 0, 0);
-                if (ctx.prediction != step.taken)
-                    ++result.condMispredicts;
-                mbp_->update(ctx, step.taken);
-            }
-            if (hybrid_ != nullptr) {
-                const bpred::HybridCtx ctx =
-                    hybrid_->predict(step.pc, archHistory_);
-                if (ctx.prediction != step.taken)
-                    ++result.condMispredicts;
-                hybrid_->update(step.pc, ctx, step.taken);
-            }
-            archHistory_ = (archHistory_ << 1) |
-                           static_cast<std::uint64_t>(step.taken);
-        } else if (isa::isCall(op)) {
-            archRas_.push_back(step.pc + isa::kInstBytes);
-        } else if (isa::isReturn(op)) {
-            ++result.returns;
-            if (archRas_.empty() || archRas_.back() != step.nextPc)
-                ++result.returnMispredicts;
-            if (!archRas_.empty())
-                archRas_.pop_back();
-        } else if (isa::isIndirectJump(op)) {
-            ++result.indirectJumps;
-            if (frontEnd_.indirect.predict(step.pc) != step.nextPc)
-                ++result.indirectMispredicts;
-            frontEnd_.indirect.update(step.pc, step.nextPc);
-        } else if (op == Opcode::Trap) {
-            ++result.traps;
-        }
-
-        if (isa::isControl(op)) {
+        leader_pending = isa::isControl(op);
+        if (leader_pending) {
             ++result.records;
+            if (isa::isCondBranch(op)) {
+                ++result.condBranches;
+                result.condMispredicts += misses.cond;
+            } else if (isa::isReturn(op)) {
+                ++result.returns;
+                result.returnMispredicts += misses.ret;
+            } else if (isa::isIndirectJump(op)) {
+                ++result.indirectJumps;
+                result.indirectMispredicts += misses.indirect;
+            } else if (op == Opcode::Trap) {
+                ++result.traps;
+            }
             result.outcomeHash =
                 fnv1aAppendScalar(result.outcomeHash, step.pc);
             result.outcomeHash =
@@ -2127,20 +2006,6 @@ Processor::controlFlowPass(
                 record.taken = step.taken;
                 writer->append(record);
             }
-        }
-
-        if (fillUnit_ != nullptr) {
-            trace::RetiredInst retired;
-            retired.inst = step.inst;
-            retired.pc = step.pc;
-            retired.taken = step.taken;
-            fillUnit_->retire(retired);
-        }
-
-        if (isa::isControl(op)) {
-            leader = step.nextPc;
-            leader_hist = archHistory_;
-            leader_pending = true;
         }
         if (step.halted) {
             result.halted = true;

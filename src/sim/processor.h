@@ -148,17 +148,17 @@ class Processor
      * Functionally fast-forward committed state from the current
      * position to absolute retired-instruction index @p until while
      * warming the trainable structures (SMARTS-style functional
-     * warming): each functionally-executed instruction applies the
-     * retire-time updates a detailed run would — branch-predictor
-     * training, indirect-target updates, fill-unit trace construction
-     * (which also fills the trace cache and trains the bias table) —
-     * and touches the instruction/data cache tags, without simulating
-     * any pipeline cycles. Warms exactly the state exportWarmState()
-     * captures. Callable repeatedly with ascending @p until on a
-     * never-cycled processor, so one warming pass can emit checkpoints
-     * at several positions; calls in steps leave the same state as one
-     * call to the last @p until. Fatal if the program halts before
-     * @p until.
+     * warming), without simulating any pipeline cycles. Each
+     * instruction goes through the correct-path pass that btrace
+     * record and replay also use (trainOnPath: icache touch, predictor
+     * and RAS training, indirect-target update, fill-unit trace
+     * construction, which also fills the trace cache and trains the
+     * bias table), then touches the data cache. Warms exactly the
+     * state exportWarmState() captures. Callable repeatedly with
+     * ascending @p until on a never-cycled processor, so one warming
+     * pass can emit checkpoints at several positions; calls in steps
+     * leave the same state as one call to the last @p until. Fatal if
+     * the program halts before @p until.
      */
     void functionalWarmup(std::uint64_t until);
 
@@ -181,7 +181,7 @@ class Processor
         std::uint64_t instructions = 0;    ///< dynamic insts covered
         std::uint64_t records = 0;         ///< control-flow events
         std::uint64_t condBranches = 0;
-        std::uint64_t condMispredicts = 0; ///< hybrid-predictor misses
+        std::uint64_t condMispredicts = 0; ///< MBP or hybrid misses
         std::uint64_t returns = 0;
         std::uint64_t returnMispredicts = 0; ///< committed-RAS misses
         std::uint64_t indirectJumps = 0;
@@ -279,21 +279,49 @@ class Processor
     // ------------------------------------------------------------------
     // Oracle bookkeeping.
     // ------------------------------------------------------------------
-    struct OracleEntry
-    {
-        workload::StepResult step;
-    };
-
     void extendOracle(std::uint64_t upto_idx);
     const workload::StepResult &oracleAt(std::uint64_t idx);
     void growOracleRing();
 
+    /** Fetch leader of the correct-path pass: the address a segment
+     * starting here is fetched under, and the history at it. */
+    struct PathLeader
+    {
+        Addr pc = kInvalidAddr;
+        std::uint64_t history = 0;
+    };
+
+    /** Which correct-path predictions trainOnPath() found wrong. */
+    struct PathMisses
+    {
+        bool cond = false;     ///< MBP (position 0) or hybrid direction
+        bool ret = false;      ///< committed-RAS return target
+        bool indirect = false; ///< indirect-target table
+    };
+
     /**
-     * Shared record/replay loop: @p source yields successive retired
-     * steps (false = exhausted), @p start_pc is the first fetch
-     * leader, @p writer (optional) receives one record per control
-     * instruction. Both drivers share this body so their component
-     * updates cannot drift apart.
+     * The correct-path front-end pass for one retired @p step, shared
+     * by warm-up and btrace record/replay: icache touch, MBP training
+     * at (@p leader, its history, position 0) or hybrid training,
+     * committed history and RAS, indirect-target update, fill-unit
+     * retire, and @p leader moves past a control transfer. The loops
+     * keep @p leader in a local so it can stay in registers.
+     */
+    PathMisses trainOnPath(const workload::StepResult &step,
+                           PathLeader &leader);
+
+    /** Reposition the committed registers and memory, the (empty)
+     * oracle ring, RAT, speculative history and RAS (from archHistory_
+     * and archRas_), fetch pc and stat baselines at the oracle's. */
+    void resyncWithOracle();
+
+    /**
+     * Record/replay loop: @p source yields successive retired steps
+     * (false = exhausted), @p start_pc is the first fetch leader,
+     * @p writer (optional) receives one record per control
+     * instruction. A step that starts a new leader costs one
+     * trace-cache lookup; every step then goes through trainOnPath(),
+     * as in functionalWarmup(), so the three drivers cannot drift.
      */
     ControlFlowResult
     controlFlowPass(const std::function<bool(workload::StepResult &)> &source,
@@ -504,12 +532,9 @@ class Processor
     std::uint64_t nextFetchGroup_ = 1;
     Cycle icacheStallUntil_ = 0;
     bool serializeStall_ = false;
-    Addr resumeAfterSerialize_ = kInvalidAddr;
-    /** Fetch leader and history-at-leader that functionalWarmup()
-     * carries from one call to the next (kInvalidAddr before the
-     * first call). */
-    Addr warmLeader_ = kInvalidAddr;
-    std::uint64_t warmLeaderHist_ = 0;
+    /** The leader functionalWarmup() carries from one call to the
+     * next (pc kInvalidAddr before the first call). */
+    PathLeader warmLeader_;
 
     // ------------------------------------------------------------------
     // Recovery state (one recovery applied per cycle, oldest wins).
@@ -532,10 +557,6 @@ class Processor
     Cycle statBaseCycle_ = 0;
     std::uint64_t statBaseInsts_ = 0;
     Accounting accounting_;
-    std::deque<std::tuple<Addr, isa::Opcode, InstSeqNum, std::uint64_t>>
-        debugRetireLog_;
-    std::deque<std::tuple<Cycle, InstSeqNum, Addr, int, bool>>
-        debugRecoveryLog_;
 
     std::uint64_t retiredCondBranches_ = 0;
     std::uint64_t condMispredicts_ = 0;

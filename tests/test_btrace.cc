@@ -51,13 +51,14 @@ writeFileBytes(const std::string &path, const std::string &bytes)
 /** Record @p insts instructions of @p benchmark to @p path. */
 sim::Processor::ControlFlowResult
 recordBenchmark(const std::string &benchmark, const std::string &path,
-                std::uint64_t insts)
+                std::uint64_t insts,
+                const sim::ProcessorConfig &config = sim::icacheConfig())
 {
     const BenchmarkProfile &profile = findProfile(benchmark);
     const Program program = generateProgram(profile);
     BtraceWriter writer(path, kGeneratorVersion,
                         profileFingerprint(profile), program.entry());
-    sim::Processor recorder(sim::icacheConfig(), program);
+    sim::Processor recorder(config, program);
     return recorder.recordTrace(writer, insts);
 }
 
@@ -120,6 +121,103 @@ INSTANTIATE_TEST_SUITE_P(LegacyAndServer, BtraceRoundTrip,
                                      c = '_';
                              return name;
                          });
+
+// Pinned outcomes of a 200K-instruction record and its replay, one row
+// per front end: the trace cache with promotion and packing (split MBP,
+// packing fill), the baseline trace cache (tree MBP, atomic fill) and
+// the icache front end (the only one that trains the hybrid
+// predictor). Record and replay of a row must both give its values.
+struct PassPin
+{
+    const char *benchmark;
+    const char *config;
+    sim::Processor::ControlFlowResult expected;
+};
+
+sim::ProcessorConfig
+pinConfig(const std::string &name)
+{
+    if (name == "icache")
+        return sim::icacheConfig();
+    if (name == "baseline")
+        return sim::baselineConfig();
+    return sim::promotionPackingConfig();
+}
+
+void
+expectPinned(const sim::Processor::ControlFlowResult &actual,
+             const sim::Processor::ControlFlowResult &expected)
+{
+    EXPECT_EQ(actual.instructions, expected.instructions);
+    EXPECT_EQ(actual.records, expected.records);
+    EXPECT_EQ(actual.condBranches, expected.condBranches);
+    EXPECT_EQ(actual.condMispredicts, expected.condMispredicts);
+    EXPECT_EQ(actual.returns, expected.returns);
+    EXPECT_EQ(actual.returnMispredicts, expected.returnMispredicts);
+    EXPECT_EQ(actual.indirectJumps, expected.indirectJumps);
+    EXPECT_EQ(actual.indirectMispredicts, expected.indirectMispredicts);
+    EXPECT_EQ(actual.traps, expected.traps);
+    EXPECT_EQ(actual.icacheAccesses, expected.icacheAccesses);
+    EXPECT_EQ(actual.icacheMisses, expected.icacheMisses);
+    EXPECT_EQ(actual.tcLookups, expected.tcLookups);
+    EXPECT_EQ(actual.tcHits, expected.tcHits);
+    EXPECT_EQ(actual.outcomeHash, expected.outcomeHash);
+    EXPECT_EQ(actual.finalHistory, expected.finalHistory);
+    EXPECT_EQ(actual.halted, expected.halted);
+}
+
+void
+PrintTo(const PassPin &pin, std::ostream *os)
+{
+    *os << pin.benchmark << "/" << pin.config;
+}
+
+class BtracePinned : public testing::TestWithParam<PassPin>
+{
+};
+
+TEST_P(BtracePinned, RecordAndReplayMatchPinnedValues)
+{
+    const PassPin &pin = GetParam();
+    const testing_util::ScratchDir scratch;
+    const std::string path = scratch.file("trace.btrace");
+    const sim::ProcessorConfig config = pinConfig(pin.config);
+    const auto recorded =
+        recordBenchmark(pin.benchmark, path, 200000, config);
+    expectPinned(recorded, pin.expected);
+
+    BtraceReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.open(path, &error)) << error;
+    const Program program = generateProgram(findProfile(pin.benchmark));
+    sim::Processor replayer(config, program);
+    const auto replayed = replayer.replayTrace(reader);
+    expectPinned(replayed, pin.expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pins, BtracePinned,
+    testing::Values(
+        PassPin{"gcc", "promo-pack",
+                {200000, 35726, 33367, 2527, 90, 0, 637, 167, 0, 200000, 441,
+                 35727, 31014, 0xa26dbd7600f68be3ull, 0xffffffe3fdff7fdfull,
+                 false}},
+        PassPin{"compress", "baseline",
+                {200000, 27967, 26326, 1608, 37, 0, 116, 25, 0, 200000, 130,
+                 27968, 22767, 0x6b9c92cecc32c369ull, 0xffd7ffd7ffd7ffd7ull,
+                 false}},
+        PassPin{"compress", "icache",
+                {200000, 27967, 26326, 1187, 37, 0, 116, 25, 0, 200000, 123,
+                 0, 0, 0x6b9c92cecc32c369ull, 0xffd7ffd7ffd7ffd7ull,
+                 false}}),
+    [](const auto &param_info) {
+        std::string name = std::string(param_info.param.benchmark) + "_" +
+                           param_info.param.config;
+        for (char &c : name)
+            if (c == '-')
+                c = '_';
+        return name;
+    });
 
 // openBytes() must validate an in-memory image (the artifact-cache
 // path) exactly like open() validates a file, and serve identical

@@ -17,6 +17,7 @@
 
 #include "bench/artifact_cache.h"
 #include "bench/sweep.h"
+#include "common/fnv.h"
 #include "sample/simpoints.h"
 #include "scratch_dir.h"
 #include "sim/processor.h"
@@ -210,6 +211,34 @@ TEST(SampleWarmState, ChunkedWarmupMatchesOneCall)
     std::ostringstream chunked;
     stepped.exportWarmState(chunked);
     EXPECT_EQ(one_call.str(), chunked.str());
+}
+
+TEST(SampleWarmState, WarmupStateMatchesPinnedDigests)
+{
+    // FNV-1a of the warm-state blob after a 30K-instruction functional
+    // warm-up. The icache row is the only one that trains the hybrid
+    // predictor; the trace-cache rows train the MBP and the fill unit.
+    struct Pin
+    {
+        const char *benchmark;
+        sim::ProcessorConfig config;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"gcc", sim::promotionPackingConfig(), 0xd12f11697a3d3158ull},
+        {"compress", sim::baselineConfig(), 0x93cc2b3532367eb1ull},
+        {"compress", sim::icacheConfig(), 0xb41ef21bce5a0613ull},
+    };
+    for (const Pin &pin : pins) {
+        const workload::Program program =
+            workload::generateProgram(workload::findProfile(pin.benchmark));
+        sim::Processor warmer(pin.config, program);
+        warmer.functionalWarmup(30000);
+        std::ostringstream blob;
+        warmer.exportWarmState(blob);
+        EXPECT_EQ(fnv1a(blob.str()), pin.digest)
+            << pin.benchmark << " " << pin.config.name;
+    }
 }
 
 TEST(SampleWarmState, ImportRejectsMismatchedConfig)
